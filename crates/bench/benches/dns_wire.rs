@@ -41,7 +41,7 @@ fn build_world(n_subdomains: usize) -> Resolver<Authority> {
             target,
             60,
             RecordData::A(
-                format!("20.40.{}.{}", i / 250, i % 250 + 1)
+                format!("20.{}.{}.{}", 40 + i / 62_500, i / 250 % 250, i % 250 + 1)
                     .parse()
                     .unwrap(),
             ),
@@ -66,21 +66,32 @@ fn bench_wire(c: &mut Criterion) {
 }
 
 fn bench_resolver(c: &mut Criterion) {
-    let resolver = build_world(1000);
-    let names: Vec<Name> = (0..1000)
-        .map(|i| format!("svc{i}.example.com").parse().unwrap())
-        .collect();
     let mut g = c.benchmark_group("resolver");
-    g.throughput(Throughput::Elements(names.len() as u64));
-    g.bench_function("resolve_1k_cname_chains", |b| {
-        let mut day = 0;
-        b.iter(|| {
-            day += 1;
-            for n in &names {
-                black_box(resolver.resolve_a(n, SimTime(day)));
-            }
-        })
-    });
+    g.throughput(Throughput::Elements(1000));
+    // The same 1k chains against zones of 1k and of 100k owners: per-lookup
+    // authority cost must not grow with zone size.
+    for (owners, row) in [
+        (1000, "resolve_1k_cname_chains"),
+        (100_000, "resolve_1k_cname_chains_100k_owners"),
+    ] {
+        let resolver = build_world(owners);
+        let names: Vec<Name> = (0..1000)
+            .map(|i| {
+                format!("svc{}.example.com", i * (owners / 1000))
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        g.bench_function(row, |b| {
+            let mut day = 0;
+            b.iter(|| {
+                day += 1;
+                for n in &names {
+                    black_box(resolver.resolve_a(n, SimTime(day)));
+                }
+            })
+        });
+    }
     g.finish();
 }
 

@@ -321,6 +321,11 @@ impl<'a> CrawlInFlight<'a> {
         };
     }
 
+    /// The previous snapshot this crawl was started against.
+    pub(crate) fn prev(&self) -> Option<&'a Snapshot> {
+        self.prev
+    }
+
     /// Harvest the snapshot of a completed crawl.
     pub fn into_snapshot(self) -> Snapshot {
         match self.phase {

@@ -153,14 +153,18 @@ impl CrawlExecutor {
         self.m_inflight.set(peak as f64);
         self.m_makespan.set(makespan as f64);
 
-        let mut indexed: Vec<(usize, CrawlOutcome)> =
-            per_bucket.into_iter().flat_map(|b| b.outcomes).collect();
-        indexed.sort_unstable_by_key(|(i, _)| *i);
-        debug_assert_eq!(indexed.len(), monitored.len());
-        for (_, o) in &indexed {
+        // Scatter each outcome to its input index: one move per outcome,
+        // where sorting would swap these large structs O(n log n) times.
+        let mut ordered: Vec<Option<CrawlOutcome>> = Vec::new();
+        ordered.resize_with(monitored.len(), || None);
+        for (i, o) in per_bucket.into_iter().flat_map(|b| b.outcomes) {
             self.m_sim_latency.record(o.sim_elapsed_ns);
+            ordered[i] = Some(o);
         }
-        indexed.into_iter().map(|(_, o)| o).collect()
+        ordered
+            .into_iter()
+            .map(|o| o.expect("every input crawled exactly once"))
+            .collect()
     }
 
     /// Drain one shard's completion queue: admit crawls in canonical order
@@ -190,14 +194,11 @@ impl CrawlExecutor {
 
         /// Turn a finished task's machine into its [`CrawlOutcome`],
         /// emitting the trace's root span when the crawl was sampled.
-        fn harvest(
-            task: &mut Task<'_>,
-            store: &SnapshotStore,
-            outcomes: &mut Vec<(usize, CrawlOutcome)>,
-        ) {
+        fn harvest(task: &mut Task<'_>, outcomes: &mut Vec<(usize, CrawlOutcome)>) {
             let fl = task.fl.take().expect("harvesting an empty task");
             let sim_elapsed_ns = fl.elapsed_ns();
             let dns_elapsed_ns = fl.dns_elapsed_ns();
+            let prev = fl.prev();
             let snap = fl.into_snapshot();
             if let Some(ctx) = task.trace.take() {
                 // Root span: round start → completion. Queue-wait is the
@@ -218,9 +219,7 @@ impl CrawlExecutor {
                     args: Vec::new(),
                 });
             }
-            let change = store
-                .latest(task.fqdn)
-                .and_then(|p| diff_record(p, snap.clone()));
+            let change = prev.and_then(|p| diff_record(p, &snap));
             outcomes.push((
                 task.input_idx,
                 CrawlOutcome {
@@ -322,7 +321,7 @@ impl CrawlExecutor {
                 } else {
                     // Done at begin (DNS cache hit straight to a negative
                     // answer): harvest without ever entering the queue.
-                    harvest(&mut slots[slot], store, &mut outcomes);
+                    harvest(&mut slots[slot], &mut outcomes);
                 }
             }
             // Drain the next completion.
@@ -337,7 +336,7 @@ impl CrawlExecutor {
                 .expect("completion for a harvested task")
                 .step(resolver, web, fate.dropped, fate.cost_ns);
             if !schedule(task, &mut q, slot, &mut timeouts) {
-                harvest(task, store, &mut outcomes);
+                harvest(task, &mut outcomes);
                 inflight -= 1;
             }
         }
@@ -381,7 +380,7 @@ impl CrawlExecutor {
         } else {
             Crawler::sample(fqdn, resolver, web, prev, now)
         };
-        let change = prev.and_then(|p| diff_record(p, snap.clone()));
+        let change = prev.and_then(|p| diff_record(p, &snap));
         CrawlOutcome {
             snap,
             change,

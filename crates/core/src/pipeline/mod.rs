@@ -142,7 +142,8 @@ pub trait RoundSink: Send {
 }
 
 /// The paper-scale memory budget: approximate resident bytes per monitored
-/// FQDN ([`RunState::bytes_per_fqdn`]) that a run must stay under. At 3.1M
+/// FQDN ([`RunState::bytes_per_fqdn`], plus the shared label-intern table's
+/// text spread over the same population) that a run must stay under. At 3.1M
 /// FQDNs (the study's final population) this bounds pipeline state at
 /// ≈ 4.6 GiB — a single commodity machine, which is the point: the paper ran
 /// its measurement from one vantage. Enforced by `repro --profile
@@ -262,20 +263,23 @@ impl RunState {
     }
 }
 
-/// Approximate resident bytes per monitored FQDN: the snapshot store, the
-/// monitored list, and the process-global label-intern table's text, divided
-/// by the monitored count. This is the quantity the paper-scale profile
-/// budgets ([`BYTES_PER_FQDN_BUDGET`]): everything that grows with the
-/// monitored *population*. The append-only change history is excluded — it
-/// grows with events, is streamed to disk by persisted runs, and is reported
+/// Approximate resident bytes per monitored FQDN that one run owns: its
+/// snapshot store and its monitored list, divided by the monitored count.
+/// This is the run's share of what the paper-scale profile budgets
+/// ([`BYTES_PER_FQDN_BUDGET`]): everything that grows with the monitored
+/// *population*. The process-global label-intern table is not charged
+/// here — every run and test in the process shares it, so it is published
+/// as its own `intern.label_bytes` gauge, and the paper-scale checks add it
+/// back explicitly. The append-only change history is excluded — it grows
+/// with events, is streamed to disk by persisted runs, and is reported
 /// separately. The monitored list is counted at `len` (not `capacity`);
 /// amortized growth headroom is part of the budget's slack.
 pub fn bytes_per_fqdn_of(store: &SnapshotStore, monitored: &[Name]) -> f64 {
     if monitored.is_empty() {
         return 0.0;
     }
-    let monitored_vec = std::mem::size_of_val(monitored)
-        + monitored.iter().map(Name::heap_bytes).sum::<usize>();
-    let total = store.approx_bytes() + monitored_vec + dns::intern::global().label_bytes();
+    let monitored_vec =
+        std::mem::size_of_val(monitored) + monitored.iter().map(Name::heap_bytes).sum::<usize>();
+    let total = store.approx_bytes() + monitored_vec;
     total as f64 / monitored.len() as f64
 }

@@ -207,6 +207,7 @@ impl Scenario {
         let m_rounds = obs::counter("pipeline.rounds");
         let m_monitored = obs::gauge("pipeline.monitored");
         let m_bytes_per_fqdn = obs::gauge("pipeline.bytes_per_fqdn");
+        let m_intern_bytes = obs::gauge("intern.label_bytes");
         let m_world_ns = obs::histogram("pipeline.world_ns");
         let mut rounds: u64 = 0;
 
@@ -284,6 +285,7 @@ impl Scenario {
                     m_rounds.inc();
                     m_monitored.set(rs.monitored.len() as f64);
                     m_bytes_per_fqdn.set(rs.bytes_per_fqdn());
+                    m_intern_bytes.set(dns::intern::global().label_bytes() as f64);
                     obs::progress!(
                         "round {rounds:>4}  day {:>5}  monitored {:>6}  changes +{:<5}  {:.1} ms",
                         now.0,

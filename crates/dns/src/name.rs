@@ -209,6 +209,19 @@ impl Name {
         Ok(name)
     }
 
+    /// The wildcard child `*.<self>`, or `None` when it would exceed the
+    /// name length limit. Equivalent to `self.child("*").ok()` but takes the
+    /// cached `*` id instead of the intern table's lock.
+    pub(crate) fn wildcard_child(&self) -> Option<Name> {
+        if self.wire_len() + 2 > 255 {
+            return None;
+        }
+        let mut ids = Vec::with_capacity(self.label_count() + 1);
+        ids.push(star_id());
+        ids.extend_from_slice(self.labels());
+        Some(Name::from_ids(&ids))
+    }
+
     /// The top-level domain label, if any (`"com"` for `www.example.com`).
     pub fn tld(&self) -> Option<&'static str> {
         self.labels().last().map(|l| l.as_str())

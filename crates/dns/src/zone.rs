@@ -9,8 +9,7 @@
 
 use crate::name::Name;
 use crate::record::{RecordData, RecordType, ResourceRecord, Soa};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// Result of looking a name up inside one zone.
 #[derive(Debug, Clone, PartialEq)]
@@ -27,18 +26,24 @@ pub enum ZoneLookup {
 }
 
 /// One authoritative zone.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Owner names are hash-indexed: a `Name` hashes and compares its interned
+/// label ids, so a lookup costs one hash of a few integers whatever the
+/// zone's size. Hash order never leaves this module — [`Zone::iter`] sorts
+/// owners into canonical `Name` order.
+#[derive(Debug, Clone)]
 pub struct Zone {
     origin: Name,
     soa: Soa,
     /// Records keyed by owner name; values hold all types at that name.
-    /// BTreeMap for deterministic iteration order in reports.
-    records: BTreeMap<Name, Vec<ResourceRecord>>,
+    records: HashMap<Name, Vec<ResourceRecord>>,
     /// Reference counts of proper ancestors of record owners — the "empty
     /// non-terminal" index that makes the NXDOMAIN/NODATA distinction O(1)
     /// instead of a zone scan.
-    #[serde(default)]
-    non_terminals: BTreeMap<Name, u32>,
+    non_terminals: HashMap<Name, u32>,
+    /// Owner names that are wildcards (`*.x`). While zero, a miss skips
+    /// wildcard synthesis entirely.
+    wildcards: usize,
     /// Monotonic serial bumped on every mutation.
     serial: u32,
 }
@@ -60,8 +65,9 @@ impl Zone {
         Zone {
             origin,
             soa,
-            records: BTreeMap::new(),
-            non_terminals: BTreeMap::new(),
+            records: HashMap::new(),
+            non_terminals: HashMap::new(),
+            wildcards: 0,
             serial: 1,
         }
     }
@@ -85,8 +91,15 @@ impl Zone {
         self.soa.serial = self.serial;
     }
 
-    /// Adjust the empty-non-terminal refcounts for one owner name.
+    /// Adjust the empty-non-terminal refcounts and the wildcard count for
+    /// one owner name that appeared (`delta` 1) or vanished (-1).
     fn track_ancestors(&mut self, name: &Name, delta: i32) {
+        if name.is_wildcard() {
+            match delta {
+                1 => self.wildcards += 1,
+                _ => self.wildcards -= 1,
+            }
+        }
         let mut anc = name.parent();
         while let Some(a) = anc {
             if !a.ends_with(&self.origin) || a.label_count() < self.origin.label_count() {
@@ -181,42 +194,38 @@ impl Zone {
             return ZoneLookup::NoData;
         }
         // Wildcard synthesis (RFC 4592): look for `*.<suffix>` owners.
-        let mut ancestor = name.parent();
+        let mut ancestor = name.parent().filter(|_| self.wildcards > 0);
         while let Some(anc) = ancestor {
             if !anc.ends_with(&self.origin) {
                 break;
             }
-            if let Ok(wild) = anc.child("*") {
-                if let Some(rrs) = self.records.get(&wild) {
-                    let synthesized: Vec<ResourceRecord> = rrs
-                        .iter()
-                        .filter(|r| r.rtype() == rtype)
-                        .map(|r| ResourceRecord {
-                            name: name.clone(),
-                            ..r.clone()
-                        })
-                        .collect();
-                    if !synthesized.is_empty() {
-                        return ZoneLookup::Found(synthesized);
-                    }
-                    if rtype != RecordType::Cname {
-                        if let Some(c) = rrs.iter().find(|r| r.rtype() == RecordType::Cname) {
-                            return ZoneLookup::Cname(ResourceRecord {
-                                name: name.clone(),
-                                ..c.clone()
-                            });
-                        }
-                    }
-                    return ZoneLookup::NoData;
+            if let Some(rrs) = anc.wildcard_child().and_then(|w| self.records.get(&w)) {
+                let synthesized: Vec<ResourceRecord> = rrs
+                    .iter()
+                    .filter(|r| r.rtype() == rtype)
+                    .map(|r| ResourceRecord {
+                        name: name.clone(),
+                        ..r.clone()
+                    })
+                    .collect();
+                if !synthesized.is_empty() {
+                    return ZoneLookup::Found(synthesized);
                 }
+                if rtype != RecordType::Cname {
+                    if let Some(c) = rrs.iter().find(|r| r.rtype() == RecordType::Cname) {
+                        return ZoneLookup::Cname(ResourceRecord {
+                            name: name.clone(),
+                            ..c.clone()
+                        });
+                    }
+                }
+                return ZoneLookup::NoData;
             }
-            // An "empty non-terminal": if any record exists *under* this
-            // name, the name itself exists (NODATA, not NXDOMAIN).
             ancestor = anc.parent();
         }
-        // Empty non-terminal check via the ancestor refcount index (O(log n)).
-        let has_descendants = self.non_terminals.contains_key(name);
-        if has_descendants {
+        // An "empty non-terminal": if any record exists *under* this name,
+        // the name itself exists (NODATA, not NXDOMAIN).
+        if self.non_terminals.contains_key(name) {
             ZoneLookup::NoData
         } else {
             ZoneLookup::NxDomain
@@ -228,9 +237,12 @@ impl Zone {
         self.records.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Iterate over every record in the zone (deterministic order).
+    /// Iterate over every record in the zone, owners in canonical `Name`
+    /// order (records at one owner in insertion order).
     pub fn iter(&self) -> impl Iterator<Item = &ResourceRecord> {
-        self.records.values().flatten()
+        let mut owners: Vec<_> = self.records.iter().collect();
+        owners.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        owners.into_iter().flat_map(|(_, rrs)| rrs)
     }
 
     /// Number of owner names in the zone.
@@ -250,10 +262,10 @@ impl Zone {
 }
 
 /// A set of zones with longest-suffix-match dispatch, standing in for "the
-/// world's authoritative DNS".
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+/// world's authoritative DNS". Hash-indexed by origin, like [`Zone`].
+#[derive(Debug, Default, Clone)]
 pub struct ZoneSet {
-    zones: BTreeMap<Name, Zone>,
+    zones: HashMap<Name, Zone>,
 }
 
 impl ZoneSet {
@@ -287,14 +299,10 @@ impl ZoneSet {
 
     /// Mutable variant of [`ZoneSet::find_zone`].
     pub fn find_zone_mut(&mut self, name: &Name) -> Option<&mut Zone> {
-        let mut probe = Some(name.clone());
-        while let Some(p) = probe {
-            if self.zones.contains_key(&p) {
-                return self.zones.get_mut(&p);
-            }
-            probe = p.parent();
-        }
-        None
+        // Returning `get_mut` from inside the suffix walk does not pass the
+        // borrow checker, so walk immutably and fetch the match once.
+        let origin = self.find_zone(name)?.origin().clone();
+        self.zones.get_mut(&origin)
     }
 
     pub fn get(&self, origin: &Name) -> Option<&Zone> {
@@ -313,8 +321,11 @@ impl ZoneSet {
         self.zones.is_empty()
     }
 
+    /// Iterate over the zones in canonical origin order.
     pub fn iter(&self) -> impl Iterator<Item = &Zone> {
-        self.zones.values()
+        let mut zones: Vec<&Zone> = self.zones.values().collect();
+        zones.sort_unstable_by(|a, b| a.origin().cmp(b.origin()));
+        zones.into_iter()
     }
 }
 
