@@ -250,7 +250,10 @@ impl ShardCodec {
             .filter(|&id| self.last[id as usize].is_some());
         let id = match known {
             Some(id) => {
-                let (prev, chain) = self.last[id as usize].clone().unwrap();
+                // Taken, not cloned: the slot is refilled below.
+                let (prev, chain) = self.last[id as usize]
+                    .take()
+                    .expect("`known` ids have a previous snapshot");
                 out.push(TAG_DELTA);
                 put_ivarint(rec.round.0 as i64, out);
                 put_uvarint(rec.seq as u64, out);
@@ -433,7 +436,9 @@ impl ShardCodec {
     // -- decode -------------------------------------------------------------
 
     /// Decode one payload and advance the context. The payload must be the
-    /// next record of this shard's stream in append order.
+    /// next record of this shard's stream in append order. After an error
+    /// the context no longer matches the stream; discard it (decode a
+    /// probe clone to test a payload without that risk).
     pub fn decode(&mut self, payload: &[u8]) -> CodecResult<ObsRecord> {
         let mut r = Reader::new(payload);
         let tag = r.u8()?;
@@ -467,7 +472,8 @@ impl ShardCodec {
             TAG_DELTA => {
                 let id_raw = r.uvarint()?;
                 let id = self.check_name_id(id_raw)?;
-                let Some((prev, chain)) = self.last[id as usize].clone() else {
+                // Taken, not cloned: the slot is refilled below.
+                let Some((prev, chain)) = self.last[id as usize].take() else {
                     return Err(CodecError::Malformed(format!(
                         "delta record for never-observed fqdn {} \
                          (removed or reordered frame)",

@@ -25,6 +25,32 @@
 //! reproduce all of them exactly or resume aborts with
 //! [`PersistError::Diverged`].
 //!
+//! Replay decodes lazily, one round at a time. Opening a state dir reads
+//! each shard's committed bytes and decodes only its first record; round
+//! `now` then pulls, from every shard, the run of records whose `round` is
+//! `now` (shards append in round order and compaction keeps it). Between
+//! rounds at most one decoded record per shard is resident, so a resume
+//! needs memory for the compressed history, one round and the decoders'
+//! state (which the live encoders need anyway), not for the whole decoded
+//! history. At the frontier the shards' decoders become the live encoders.
+//!
+//! Each corruption is rejected when replay reaches the round it concerns,
+//! always before the first live append:
+//!
+//! - a frame that fails codec validation, or whose FQDN belongs to another
+//!   shard → [`PersistError::Decode`] while decoding that record (one
+//!   record ahead of the round being replayed);
+//! - a duplicate `seq` in a round, or a record whose round lies below the
+//!   one being replayed (out of round order) → `Decode` at that round;
+//! - a round with more records than monitored names →
+//!   [`PersistError::Diverged`] at that round;
+//! - a record left in a shard at the frontier → `Decode`, then a rebuilt
+//!   state differing from the frontier checkpoint → `Diverged`.
+//!
+//! A spliced, checksum-valid frame therefore does not fail
+//! [`PersistStage::open`]: the resume fails with a decode error once replay
+//! reaches the frame's round, and appends nothing.
+//!
 //! Because replayed rounds flow through the diff stage like live ones, they
 //! also feed the streaming retro pass when `--incremental` is on: recorded
 //! segments stream straight into signature derivation without re-running
@@ -41,15 +67,15 @@
 //! the final store state from the kept last-per-FQDN records.
 
 use super::obs_codec::ShardCodec;
-use super::{CrawlOutcome, RunState, ShardedExecutor};
+use super::{CrawlOutcome, RunState};
 use crate::diff::{ChangeKind, ChangeRecord};
 use crate::scenario::ScenarioConfig;
 use crate::snapshot::Snapshot;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use storelog::{CompactStats, LogReader, LogWriter, Retention};
+use storelog::{CompactStats, LogReader, LogWriter, Retention, ShardStream};
 
 /// Version of the record/checkpoint payloads inside the storelog frames,
 /// tracking [`storelog::FORMAT_VERSION`]: v1 = JSON `ObsRecord`s, v2 =
@@ -240,14 +266,153 @@ impl From<serde_json::Error> for PersistError {
     }
 }
 
-/// The recorded history a resuming run replays instead of crawling.
+/// One shard's committed history, decoded one record ahead of replay.
+struct ShardCursor {
+    shard: usize,
+    /// The shard's committed segment bytes.
+    stream: ShardStream,
+    /// Byte offset of the next undecoded frame in `stream`.
+    pos: u64,
+    /// v2 only: the shard's streaming decoder (`None` for v1 JSON payloads).
+    codec: Option<ShardCodec>,
+    /// The next record in stream order, decoded and checked; `None` once
+    /// the committed history is exhausted.
+    peeked: Option<ObsRecord>,
+}
+
+impl ShardCursor {
+    fn open(reader: &LogReader, shard: usize) -> Result<Self, PersistError> {
+        let mut cursor = ShardCursor {
+            shard,
+            stream: reader.stream_shard(shard)?,
+            pos: 0,
+            codec: (reader.format_version() >= 2).then(ShardCodec::new),
+            peeked: None,
+        };
+        cursor.advance(reader.shard_count())?;
+        Ok(cursor)
+    }
+
+    /// Decode the next committed record into `peeked` and return the one
+    /// it replaces.
+    fn advance(&mut self, shards: usize) -> Result<Option<ObsRecord>, PersistError> {
+        let mut frames = self.stream.iter_from(self.pos);
+        let next = match frames.next() {
+            None => None,
+            Some(payload) => {
+                let rec = match &mut self.codec {
+                    Some(c) => c
+                        .decode(payload)
+                        .map_err(|e| PersistError::Decode(format!("shard {}: {e}", self.shard)))?,
+                    None => serde_json::from_slice::<ObsRecord>(payload)?,
+                };
+                // A checksum-valid frame spliced in from another shard's
+                // segment would decode fine; membership in the shard's
+                // FQDN partition is the structural check against it.
+                let home = crate::snapshot::fqdn_shard(&rec.snap.fqdn, shards);
+                if home != self.shard {
+                    return Err(PersistError::Decode(format!(
+                        "shard {}: record for {} belongs to shard {home}",
+                        self.shard, rec.snap.fqdn
+                    )));
+                }
+                Some(rec)
+            }
+        };
+        self.pos = frames.offset();
+        Ok(std::mem::replace(&mut self.peeked, next))
+    }
+}
+
+/// The recorded history a resuming run replays instead of crawling, read
+/// lazily: each shard's cursor decodes one record ahead, so between rounds
+/// at most one decoded record per shard is resident.
 struct ReplayData {
     /// Last committed round; rounds ≤ this replay from the log.
     frontier: SimTime,
-    /// Observations grouped by round, each group in `seq` order.
-    rounds: BTreeMap<i32, Vec<ObsRecord>>,
     /// The checkpoint replay must reproduce at the frontier.
     checkpoint: Checkpoint,
+    cursors: Vec<ShardCursor>,
+}
+
+impl ReplayData {
+    /// `None` for a dir that was created but never committed a round.
+    fn open(reader: &LogReader) -> Result<Option<Self>, PersistError> {
+        let version = reader.format_version();
+        let Some(commit) = reader.last_commit() else {
+            return Ok(None);
+        };
+        let checkpoint: Checkpoint = serde_json::from_slice(&commit.app)?;
+        if checkpoint.format != version {
+            return Err(PersistError::Diverged(format!(
+                "checkpoint says payload format v{}, FORMAT file says v{version}",
+                checkpoint.format
+            )));
+        }
+        let cursors = (0..reader.shard_count())
+            .map(|shard| ShardCursor::open(reader, shard))
+            .collect::<Result<_, _>>()?;
+        Ok(Some(ReplayData {
+            frontier: checkpoint.round,
+            checkpoint,
+            cursors,
+        }))
+    }
+
+    /// Decode round `now` in `seq` order. Shards append in round order and
+    /// compaction keeps that order, so a round is exactly the run of
+    /// records with `round == now` at the head of every cursor.
+    fn take_round(&mut self, now: SimTime) -> Result<Vec<ObsRecord>, PersistError> {
+        let shards = self.cursors.len();
+        let mut records = Vec::new();
+        for cur in &mut self.cursors {
+            while cur.peeked.as_ref().is_some_and(|r| r.round == now) {
+                records.extend(cur.advance(shards)?);
+            }
+            if let Some(rec) = cur.peeked.as_ref().filter(|r| r.round < now) {
+                return Err(PersistError::Decode(format!(
+                    "shard {}: record for {} of round {} follows round {} \
+                     (out of round order)",
+                    cur.shard, rec.snap.fqdn, rec.round.0, now.0
+                )));
+            }
+        }
+        records.sort_unstable_by_key(|r| r.seq);
+        if records.windows(2).any(|w| w[0].seq == w[1].seq) {
+            return Err(PersistError::Decode(format!(
+                "round {}: duplicate seq (spliced or duplicated frame)",
+                now.0
+            )));
+        }
+        Ok(records)
+    }
+
+    /// At the frontier every cursor must be exhausted: a record still
+    /// waiting belongs to a round the checkpoint never sealed.
+    fn check_drained(&self) -> Result<(), PersistError> {
+        for cur in &self.cursors {
+            if let Some(rec) = &cur.peeked {
+                return Err(PersistError::Decode(format!(
+                    "shard {}: record for {} of round {} lies past the \
+                     recorded frontier {}",
+                    cur.shard, rec.snap.fqdn, rec.round.0, self.frontier.0
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// The decoders' states at the end of the committed history — the
+    /// exact encoder contexts live appends continue from (empty for v1).
+    fn into_codecs(self) -> Vec<ShardCodec> {
+        self.cursors.into_iter().filter_map(|c| c.codec).collect()
+    }
+
+    /// Records decoded but not yet handed to a round.
+    #[cfg(test)]
+    fn decoded_in_flight(&self) -> usize {
+        self.cursors.iter().filter(|c| c.peeked.is_some()).count()
+    }
 }
 
 /// The persistence stage (see module docs). Only instantiated when a state
@@ -260,7 +425,8 @@ pub struct PersistStage {
     /// The dir's payload format (1 = JSON, 2 = binary; see [`OBS_FORMAT`]).
     payload_format: u32,
     /// v2 only: one streaming codec context per shard. On resume these are
-    /// the decoder states at the end of the committed history, so live
+    /// the decoder states at the end of the committed history, handed over
+    /// from the replay cursors at the frontier (empty until then), so live
     /// appends continue the intern tables and delta chains exactly where
     /// the recording stopped. Empty for v1 dirs.
     codecs: Vec<ShardCodec>,
@@ -289,8 +455,8 @@ fn config_fingerprint(cfg: &ScenarioConfig) -> Result<Vec<u8>, PersistError> {
 
 impl PersistStage {
     /// Open or create the state directory. With `opts.resume` and existing
-    /// state, loads the recorded history for replay; a fresh or empty dir
-    /// starts a new recording either way.
+    /// state, opens the recorded history for replay (decoded lazily, round
+    /// by round); a fresh or empty dir starts a new recording either way.
     pub fn open(
         opts: &PersistOptions,
         cfg: &ScenarioConfig,
@@ -306,52 +472,55 @@ impl PersistStage {
             Err(e) => return Err(e.into()),
         };
 
-        let (replay, codecs) = match existing {
-            None => {
-                std::fs::create_dir_all(dir).map_err(storelog::Error::Io)?;
-                let version = opts.format.unwrap_or(OBS_FORMAT);
-                let writer = LogWriter::create_versioned(dir, shards, &fingerprint, version)?;
-                return Ok(PersistStage {
-                    writer,
-                    replay: None,
-                    rounds_done: 0,
-                    max_rounds: opts.max_rounds,
-                    payload_format: version,
-                    codecs: fresh_codecs(version, shards),
-                    scratch: Vec::new(),
-                });
-            }
-            Some(reader) => {
-                if !opts.resume {
-                    return Err(PersistError::AlreadyExists(dir.clone()));
-                }
-                if reader.config() != fingerprint.as_slice() {
-                    return Err(PersistError::ConfigMismatch {
-                        state_dir: dir.clone(),
-                    });
-                }
-                if reader.shard_count() != shards {
-                    return Err(PersistError::Diverged(format!(
-                        "state dir has {} shards, store has {shards}",
-                        reader.shard_count()
-                    )));
-                }
-                Self::load_replay(&reader, threads)?
-            }
+        let Some(reader) = existing else {
+            std::fs::create_dir_all(dir).map_err(storelog::Error::Io)?;
+            let version = opts.format.unwrap_or(OBS_FORMAT);
+            let writer = LogWriter::create_versioned(dir, shards, &fingerprint, version)?;
+            return Ok(PersistStage {
+                writer,
+                replay: None,
+                rounds_done: 0,
+                max_rounds: opts.max_rounds,
+                payload_format: version,
+                codecs: fresh_codecs(version, shards),
+                scratch: Vec::new(),
+            });
         };
-
-        if let Some(rep) = &replay {
-            obs::info!(
-                "resuming {}: replaying {} recorded round(s) up to day {}",
-                dir.display(),
-                rep.rounds.len(),
-                rep.frontier.0
-            );
+        if !opts.resume {
+            return Err(PersistError::AlreadyExists(dir.clone()));
         }
+        if reader.config() != fingerprint.as_slice() {
+            return Err(PersistError::ConfigMismatch {
+                state_dir: dir.clone(),
+            });
+        }
+        if reader.shard_count() != shards {
+            return Err(PersistError::Diverged(format!(
+                "state dir has {} shards, store has {shards}",
+                reader.shard_count()
+            )));
+        }
+        let replay = ReplayData::open(&reader)?;
+        drop(reader);
+
         // The dir dictates the payload format on resume; `opts.format` only
         // applies to fresh creations.
         let writer = LogWriter::open_append(dir)?;
         let payload_format = writer.format_version();
+        // While replaying, `codecs` stays empty: the cursors' decoders take
+        // over at the frontier (see `finish_round`).
+        let codecs = match &replay {
+            Some(rep) => {
+                obs::info!(
+                    "resuming {}: replaying {} recorded round(s) up to day {}",
+                    dir.display(),
+                    rep.checkpoint.rounds_done,
+                    rep.frontier.0
+                );
+                Vec::new()
+            }
+            None => fresh_codecs(payload_format, shards),
+        };
         Ok(PersistStage {
             writer,
             replay,
@@ -361,96 +530,6 @@ impl PersistStage {
             codecs,
             scratch: Vec::new(),
         })
-    }
-
-    /// Load the committed history for replay, decoding shards in parallel
-    /// through the pipeline's [`ShardedExecutor`]. Returns the replay data
-    /// (None for an empty dir) plus, for v2 dirs, the per-shard codec states
-    /// at the end of the committed stream — the exact encoder contexts live
-    /// appends must continue from.
-    fn load_replay(
-        reader: &LogReader,
-        threads: usize,
-    ) -> Result<(Option<ReplayData>, Vec<ShardCodec>), PersistError> {
-        let version = reader.format_version();
-        let shards = reader.shard_count();
-        let Some(commit) = reader.last_commit() else {
-            // Created but never committed a round: nothing to replay.
-            return Ok((None, fresh_codecs(version, shards)));
-        };
-        let checkpoint: Checkpoint = serde_json::from_slice(&commit.app)?;
-        if checkpoint.format != version {
-            return Err(PersistError::Diverged(format!(
-                "checkpoint says payload format v{}, FORMAT file says v{version}",
-                checkpoint.format
-            )));
-        }
-
-        // Shards are independent streams — fan the decode out under the same
-        // determinism contract as the crawl (results re-assembled in shard
-        // order; merge below is shard-order deterministic).
-        let shard_ids: Vec<usize> = (0..shards).collect();
-        type ShardOut = Result<(Vec<ObsRecord>, Option<ShardCodec>), PersistError>;
-        let exec = ShardedExecutor::new(threads, crate::exec_metric_names!("persist.replay"));
-        let per_shard: Vec<ShardOut> = exec.map(
-            &shard_ids,
-            shards,
-            |&s| s,
-            || (),
-            |_, _, &shard| {
-                let stream = reader.stream_shard(shard).map_err(PersistError::from)?;
-                let mut recs: Vec<ObsRecord> = Vec::new();
-                let mut codec = (version >= 2).then(ShardCodec::new);
-                for payload in stream.iter() {
-                    let rec = match &mut codec {
-                        Some(c) => c
-                            .decode(payload)
-                            .map_err(|e| PersistError::Decode(format!("shard {shard}: {e}")))?,
-                        None => serde_json::from_slice::<ObsRecord>(payload)?,
-                    };
-                    // A checksum-valid frame spliced in from another shard's
-                    // segment would decode fine; membership in the shard's
-                    // FQDN partition is the structural check against it.
-                    if crate::snapshot::fqdn_shard(&rec.snap.fqdn, shards) != shard {
-                        return Err(PersistError::Decode(format!(
-                            "shard {shard}: record for {} belongs to shard {}",
-                            rec.snap.fqdn,
-                            crate::snapshot::fqdn_shard(&rec.snap.fqdn, shards)
-                        )));
-                    }
-                    recs.push(rec);
-                }
-                Ok((recs, codec))
-            },
-        );
-
-        let mut rounds: BTreeMap<i32, Vec<ObsRecord>> = BTreeMap::new();
-        let mut codecs: Vec<ShardCodec> = Vec::new();
-        for out in per_shard {
-            let (recs, codec) = out?;
-            for rec in recs {
-                rounds.entry(rec.round.0).or_default().push(rec);
-            }
-            if let Some(c) = codec {
-                codecs.push(c);
-            }
-        }
-        for (round, group) in rounds.iter_mut() {
-            group.sort_unstable_by_key(|r| r.seq);
-            if group.windows(2).any(|w| w[0].seq == w[1].seq) {
-                return Err(PersistError::Decode(format!(
-                    "round {round}: duplicate seq (spliced or duplicated frame)"
-                )));
-            }
-        }
-        Ok((
-            Some(ReplayData {
-                frontier: checkpoint.round,
-                rounds,
-                checkpoint,
-            }),
-            codecs,
-        ))
     }
 
     /// If `now` is inside the recorded history, install the logged outcomes
@@ -466,7 +545,7 @@ impl PersistStage {
         // Compaction may have thinned the round (superseded no-change
         // records); whatever remains replays in original order and rebuilds
         // the change log exactly and the store eventually.
-        let records = rep.rounds.remove(&now.0).unwrap_or_default();
+        let records = rep.take_round(now)?;
         obs::counter("persist.rounds_replayed").inc();
         obs::counter("persist.records_replayed").add(records.len() as u64);
         if records.len() > rs.monitored.len() {
@@ -530,6 +609,7 @@ impl PersistStage {
                 std::cmp::Ordering::Equal => {
                     // At the frontier: prove the replay landed exactly where
                     // the original run stood before accepting live appends.
+                    rep.check_drained()?;
                     let rebuilt =
                         Checkpoint::capture(rs, now, self.rounds_done, self.payload_format);
                     if rebuilt != rep.checkpoint {
@@ -538,7 +618,8 @@ impl PersistStage {
                             now.0, rep.checkpoint
                         )));
                     }
-                    self.replay = None;
+                    let rep = self.replay.take().expect("replaying: matched above");
+                    self.codecs = rep.into_codecs();
                     return Ok(());
                 }
                 std::cmp::Ordering::Greater => {
@@ -815,6 +896,78 @@ mod tests {
             config_fingerprint(&a).unwrap(),
             config_fingerprint(&c).unwrap()
         );
+    }
+
+    #[test]
+    fn replay_holds_at_most_one_decoded_record_per_shard() {
+        let dir = std::env::temp_dir().join(format!("persist_lazy_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let shards = 4;
+        let days = [7, 14, 21, 28, 35];
+        let names: Vec<String> = (0..24).map(|i| format!("n{i}.example.com")).collect();
+        let mut writer = LogWriter::create_versioned(&dir, shards, b"cfg", 2).unwrap();
+        let mut codecs = fresh_codecs(2, shards);
+        let mut buf = Vec::new();
+        for (done, &day) in days.iter().enumerate() {
+            for (seq, name) in names.iter().enumerate() {
+                let mut s = snap(name, day);
+                s.index_hash = day as u64 % 3; // some deltas, some repeats
+                let fqdn = s.fqdn.clone();
+                let rec = ObsRecord {
+                    round: SimTime(day),
+                    seq: seq as u32,
+                    snap: s,
+                    change: None,
+                };
+                let shard = crate::snapshot::fqdn_shard(&fqdn, shards);
+                codecs[shard].encode_into(&rec, &mut buf);
+                writer.append(shard, &buf);
+            }
+            let cp = Checkpoint {
+                format: 2,
+                round: SimTime(day),
+                rounds_done: done as u64 + 1,
+                monitored_total: names.len() as u64,
+                store_len: 0,
+                changes_total: 0,
+                ip_lottery_declines: 0,
+                caa_blocked_certs: 0,
+                liveness_len: 0,
+                rng_witness: 0,
+            };
+            writer.commit(&serde_json::to_vec(&cp).unwrap()).unwrap();
+        }
+        drop(writer);
+
+        let reader = LogReader::open(&dir).unwrap();
+        let mut rep = ReplayData::open(&reader)
+            .unwrap()
+            .expect("committed history");
+        drop(reader);
+        assert_eq!(rep.frontier, SimTime(35));
+        assert_eq!(
+            rep.decoded_in_flight(),
+            shards,
+            "one record primed per shard"
+        );
+        for &day in &days {
+            let recs = rep.take_round(SimTime(day)).unwrap();
+            assert_eq!(recs.len(), names.len(), "round {day}");
+            for (i, rec) in recs.iter().enumerate() {
+                assert_eq!((rec.round, rec.seq), (SimTime(day), i as u32));
+                assert_eq!(rec.snap.fqdn.to_string(), names[i]);
+            }
+            assert!(rep.decoded_in_flight() <= shards, "round {day}");
+        }
+        assert_eq!(
+            rep.decoded_in_flight(),
+            0,
+            "history exhausted at the frontier"
+        );
+        rep.check_drained().unwrap();
+        assert_eq!(rep.into_codecs().len(), shards);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -208,6 +208,10 @@ impl Scenario {
         let m_monitored = obs::gauge("pipeline.monitored");
         let m_bytes_per_fqdn = obs::gauge("pipeline.bytes_per_fqdn");
         let m_intern_bytes = obs::gauge("intern.label_bytes");
+        // Whole-process memory, not just the pipeline's share: on a resume
+        // the resident set stays flat through the replayed rounds.
+        let m_rss = obs::gauge("process.rss_bytes");
+        let m_peak_rss = obs::gauge("process.peak_rss_bytes");
         let m_world_ns = obs::histogram("pipeline.world_ns");
         let mut rounds: u64 = 0;
 
@@ -286,6 +290,9 @@ impl Scenario {
                     m_monitored.set(rs.monitored.len() as f64);
                     m_bytes_per_fqdn.set(rs.bytes_per_fqdn());
                     m_intern_bytes.set(dns::intern::global().label_bytes() as f64);
+                    let (rss, peak_rss) = obs::process_memory();
+                    m_rss.set(rss as f64);
+                    m_peak_rss.set(peak_rss as f64);
                     obs::progress!(
                         "round {rounds:>4}  day {:>5}  monitored {:>6}  changes +{:<5}  {:.1} ms",
                         now.0,

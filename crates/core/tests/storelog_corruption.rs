@@ -435,3 +435,128 @@ fn forged_checksum_mutations_never_panic() {
         let _ = decode_all(&dir.0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Lazy replay: a resume decodes one round at a time, so a corruption is
+// rejected when replay reaches the round it concerns rather than when the
+// dir is opened. The resume must still fail with a decode error, and it must
+// not have appended anything on top of the corrupt history.
+// ---------------------------------------------------------------------------
+
+/// Every file of a state dir, by name.
+fn dir_bytes(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// Resume `dir` to the horizon: it must fail with a decode error mentioning
+/// `needle` and leave every segment and `commits.log` byte-identical.
+fn assert_resume_rejected_untouched(dir: &Path, needle: &str) {
+    let before = dir_bytes(dir);
+    let mut opts = PersistOptions::new(dir);
+    opts.resume = true;
+    let err = match Scenario::new(study_cfg(2)).run_persisted(&opts) {
+        Ok(_) => panic!("resume must fail ({needle})"),
+        Err(e) => e.to_string(),
+    };
+    assert!(
+        err.contains("decode") && err.contains(needle),
+        "expected a decode error mentioning {needle:?}, got: {err}"
+    );
+    let after = dir_bytes(dir);
+    assert_eq!(
+        before.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        after.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        "a failed resume must not add or remove files"
+    );
+    for ((name, a), (_, b)) in before.iter().zip(&after) {
+        assert!(a == b, "{name:?} changed during a failed resume");
+    }
+}
+
+/// One shard's committed payloads, their decoded records, and the decoder
+/// state at the end of the stream (the encoder context an append continues).
+fn decode_shard(
+    dir: &Path,
+    shard: usize,
+) -> (
+    Vec<Vec<u8>>,
+    Vec<dangling_core::pipeline::persist::ObsRecord>,
+    ShardCodec,
+) {
+    let reader = storelog::LogReader::open(dir).unwrap();
+    let stream = reader.stream_shard(shard).unwrap();
+    let payloads: Vec<Vec<u8>> = stream.iter().map(<[u8]>::to_vec).collect();
+    let mut codec = ShardCodec::new();
+    let recs = payloads.iter().map(|p| codec.decode(p).unwrap()).collect();
+    (payloads, recs, codec)
+}
+
+/// A well-formed record for a name nobody monitors, in `shard`'s partition,
+/// encoded to continue `codec`'s stream: it decodes cleanly, so only the
+/// replay's round-order checks can stand against it.
+fn stray_record(shard: usize, round: simcore::SimTime, codec: &mut ShardCodec) -> Vec<u8> {
+    use dangling_core::pipeline::persist::ObsRecord;
+    use dangling_core::snapshot::Snapshot;
+    let name: dns::Name = (0..)
+        .map(|i| format!("strayq{i}.wwkx{i}.jjzz{i}"))
+        .map(|s| dns::Name::parse(&s).unwrap())
+        .find(|n| fqdn_shard(n, 16) == shard)
+        .unwrap();
+    let rec = ObsRecord {
+        round,
+        seq: 0,
+        snap: Snapshot::unreachable(name, round, dns::Rcode::NxDomain, None),
+        change: None,
+    };
+    let mut payload = Vec::new();
+    codec.encode_into(&rec, &mut payload);
+    payload
+}
+
+#[test]
+fn duplicated_frame_in_last_round_fails_resume_and_appends_nothing() {
+    let (shard, _) = busiest_shard(&recorded().0);
+    let (payloads, recs, _) = decode_shard(&recorded().0, shard);
+    let last = recs.last().unwrap().round;
+    // The first delta frame of the last recorded round.
+    let i = (0..payloads.len())
+        .find(|&i| recs[i].round == last && payloads[i][0] == 0x02)
+        .expect("the last round holds a delta record");
+    let dir = copy_dir(&recorded().0, "dup_last");
+    splice(&dir.0, shard, |frames| {
+        let copy = frames[i].clone();
+        frames.insert(i + 1, copy);
+    });
+    assert_resume_rejected_untouched(&dir.0, "chain check");
+}
+
+#[test]
+fn record_out_of_round_order_is_rejected() {
+    // A record of the first round appended after the last one.
+    let (shard, _) = busiest_shard(&recorded().0);
+    let (_, recs, mut codec) = decode_shard(&recorded().0, shard);
+    let stray = stray_record(shard, recs[0].round, &mut codec);
+    let dir = copy_dir(&recorded().0, "order");
+    splice(&dir.0, shard, |frames| frames.push(stray));
+    assert_resume_rejected_untouched(&dir.0, "out of round order");
+}
+
+#[test]
+fn record_past_the_frontier_is_rejected() {
+    // A record of a round the frontier checkpoint never sealed.
+    let (shard, _) = busiest_shard(&recorded().0);
+    let (_, recs, mut codec) = decode_shard(&recorded().0, shard);
+    let beyond = simcore::SimTime(recs.last().unwrap().round.0 + 7);
+    let stray = stray_record(shard, beyond, &mut codec);
+    let dir = copy_dir(&recorded().0, "beyond");
+    splice(&dir.0, shard, |frames| frames.push(stray));
+    assert_resume_rejected_untouched(&dir.0, "past the recorded frontier");
+}

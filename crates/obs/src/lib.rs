@@ -69,3 +69,47 @@ pub use span::{
 pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
     SpanGuard::new(name, cat)
 }
+
+/// This process's resident set in bytes, `(current, peak)`: `VmRSS` and
+/// `VmHWM` from `/proc/self/status`. Both read 0 where that file does not
+/// exist (non-Linux hosts).
+pub fn process_memory() -> (u64, u64) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    (
+        status_kib(&status, "VmRSS:") * 1024,
+        status_kib(&status, "VmHWM:") * 1024,
+    )
+}
+
+/// The `kB` value of one `/proc/<pid>/status` line, 0 if absent.
+fn status_kib(status: &str, key: &str) -> u64 {
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix(key))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn status_lines_parse_to_kib() {
+        let status = "Name:\trepro\nVmHWM:\t  309124 kB\nVmRSS:\t   65536 kB\n";
+        assert_eq!(status_kib(status, "VmRSS:"), 65536);
+        assert_eq!(status_kib(status, "VmHWM:"), 309124);
+        assert_eq!(status_kib(status, "VmSwap:"), 0);
+        assert_eq!(status_kib("", "VmRSS:"), 0);
+    }
+
+    #[test]
+    fn process_memory_is_zero_or_consistent() {
+        let (rss, peak) = process_memory();
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(rss > 0 && rss <= peak, "rss {rss} peak {peak}");
+        } else {
+            assert_eq!((rss, peak), (0, 0));
+        }
+    }
+}

@@ -3,15 +3,17 @@
 //! [`daemon`] returns a connected pair — a [`ServeSink`] to attach to the
 //! pipeline via [`Scenario::round_sink`](dangling_core::Scenario::round_sink)
 //! and a cloneable [`ServeHandle`] for any number of reader threads. The
-//! two sides share only an [`ArcSwap`]`<LiveView>` plus a few counters:
+//! two sides share only a [`ViewCell`] plus a few counters:
 //!
 //! - **Writer** (pipeline thread): after each committed round, build the
-//!   next [`LiveView`] off to the side, then publish it with one atomic
-//!   pointer swap. Readers still inside round N keep their pinned view;
-//!   epoch-based reclamation frees it when the last guard drops.
-//! - **Readers**: [`ServeHandle::query`] pins the current view, answers
-//!   from it alone, and unpins — wait-free, never blocking the committing
-//!   round and never blocked by it.
+//!   next [`LiveView`] off to the side, then publish it by swapping one
+//!   `Arc` under the cell's write lock. Readers still inside round N keep
+//!   their own `Arc` to it; the last one to drop it frees it.
+//! - **Readers**: [`ServeHandle::query`] clones the current view's `Arc`
+//!   under the read lock, releases the lock, and answers from that view
+//!   alone. The lock is held only for a reference-count increment, so a
+//!   query never holds up a publication for longer than that, and a
+//!   publication (once per round) never waits on a running query.
 //!
 //! Graceful shutdown is cooperative: [`ServeHandle::request_stop`] raises a
 //! flag the pipeline polls at each round boundary (the SIGTERM handler of a
@@ -23,11 +25,42 @@
 
 use crate::query::{Query, Reply};
 use crate::view::{LiveView, SloHealth};
-use arc_swap::ArcSwap;
 use dangling_core::pipeline::{RoundSink, RoundView};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
+
+/// The view publication primitive: the current [`LiveView`] behind a
+/// `RwLock<Arc<_>>`. Both critical sections only move an `Arc`, so they
+/// cannot panic and the lock cannot be poisoned in practice; a poisoned
+/// lock is read through anyway, since the `Arc` inside is always whole.
+pub struct ViewCell(RwLock<Arc<LiveView>>);
+
+impl ViewCell {
+    pub fn new(view: Arc<LiveView>) -> Self {
+        ViewCell(RwLock::new(view))
+    }
+
+    /// The currently published view. Every value read from it belongs to
+    /// the one round it was built from.
+    pub fn load(&self) -> Arc<LiveView> {
+        self.0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Publish `view`. The replaced view is dropped after the lock is
+    /// released (or later, by its last reader), so freeing a large view
+    /// never happens inside the critical section.
+    pub fn store(&self, view: Arc<LiveView>) {
+        let old = std::mem::replace(
+            &mut *self.0.write().unwrap_or_else(PoisonError::into_inner),
+            view,
+        );
+        drop(old);
+    }
+}
 
 /// SLO budgets the watchdog enforces. A round (or query) exceeding its
 /// budget burns a counter and flags the published view; it never affects
@@ -54,7 +87,7 @@ impl Default for SloBudgets {
 }
 
 struct Shared {
-    view: ArcSwap<LiveView>,
+    view: ViewCell,
     stop: AtomicBool,
     inflight: AtomicU64,
     queries: AtomicU64,
@@ -67,7 +100,7 @@ struct Shared {
 /// view so queries are answerable before the first round commits.
 pub fn daemon() -> (ServeSink, ServeHandle) {
     let shared = Arc::new(Shared {
-        view: ArcSwap::new(Arc::new(LiveView::empty())),
+        view: ViewCell::new(Arc::new(LiveView::empty())),
         stop: AtomicBool::new(false),
         inflight: AtomicU64::new(0),
         queries: AtomicU64::new(0),
@@ -98,9 +131,9 @@ pub struct ServeHandle {
 }
 
 impl ServeHandle {
-    /// Answer one query from the currently published view. Wait-free on
-    /// the read path; the entire reply is read from a single pinned view,
-    /// so it is snapshot-consistent by construction.
+    /// Answer one query from the currently published view. The entire
+    /// reply is read from a single loaded view, so it is
+    /// snapshot-consistent by construction.
     pub fn query(&self, q: &Query) -> Reply {
         self.shared.inflight.fetch_add(1, SeqCst);
         let started = std::time::Instant::now();
@@ -123,7 +156,7 @@ impl ServeHandle {
     /// Clone out the current view (for bulk readers; `query` is the hot
     /// path).
     pub fn view(&self) -> Arc<LiveView> {
-        self.shared.view.load_full()
+        self.shared.view.load()
     }
 
     /// Rounds published so far (0 until the first commit).
@@ -169,7 +202,7 @@ impl ServeHandle {
 
 /// The write side: a [`RoundSink`] that turns each committed round into a
 /// published [`LiveView`]. Exactly one exists per daemon — publication is
-/// single-writer by construction (the `ArcSwap` itself also tolerates
+/// single-writer by construction (the [`ViewCell`] itself also tolerates
 /// multiple writers, which the consistency suite exercises separately).
 pub struct ServeSink {
     shared: Arc<Shared>,

@@ -11,13 +11,14 @@
 //!
 //! - **Snapshot consistency.** A reader sees round N in full or not at all.
 //!   Each [`LiveView`] is built off to the side from the committed round's
-//!   state and published with a single atomic pointer swap
-//!   ([`arc_swap::ArcSwap`], epoch-reclaimed); every value a reply carries
-//!   comes from one pinned view, and a [`ViewStamp`] (counts + checksum
-//!   frozen at build time) lets readers *prove* the absence of torn reads.
-//! - **Lock-free reads.** Queries never block the committing round and
-//!   round publication never blocks readers; the only writer-side lock
-//!   serializes publications with reclamation bookkeeping.
+//!   state and published with a single `Arc` swap ([`ViewCell`], a
+//!   `RwLock<Arc<LiveView>>`); every value a reply carries comes from one
+//!   loaded view, and a [`ViewStamp`] (counts + checksum frozen at build
+//!   time) lets readers *prove* the absence of torn reads.
+//! - **Short critical sections.** A query holds the read lock only to
+//!   clone the view's `Arc` and answers outside it; a publication holds
+//!   the write lock only to swap that `Arc`, once per round, and frees
+//!   the old view outside it.
 //! - **Advisory, and saying so.** The per-round verdicts are the streaming
 //!   pass's advisory state (the benign corpus can still shrink), so every
 //!   payload carries an explicit `provisional: true` flag — clients cannot
@@ -38,7 +39,7 @@ pub mod load;
 pub mod query;
 pub mod view;
 
-pub use daemon::{daemon, ServeHandle, ServeSink, SloBudgets};
+pub use daemon::{daemon, ServeHandle, ServeSink, SloBudgets, ViewCell};
 pub use http::handle_request;
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use query::{Query, Reply, ReplyBody};

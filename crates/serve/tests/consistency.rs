@@ -3,23 +3,22 @@
 //! every reply self-consistent per [`serve::Reply::consistent`], every
 //! loaded view passing its build-time stamp. Two legs:
 //!
-//! - a synthetic leg driving the raw [`arc_swap::ArcSwap`] publication
+//! - a synthetic leg driving the raw [`serve::ViewCell`] publication
 //!   primitive with {1,2,4,8} writer threads (the daemon itself is
 //!   single-writer; the primitive must not depend on that), and
 //! - a live leg running the real pipeline at {1,2,4,8} crawl threads with
 //!   reader threads querying throughout — which also pins that the served
 //!   run's results stay byte-identical across crawl thread counts.
 
-use arc_swap::ArcSwap;
 use dangling_core::scenario::{Scenario, ScenarioConfig};
-use serve::{daemon, LiveView, Query};
+use serve::{daemon, LiveView, Query, ViewCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
 fn synthetic_multi_writer_publication_never_tears() {
     for writers in [1usize, 2, 4, 8] {
-        let swap = ArcSwap::new(Arc::new(LiveView::synthetic(0, 24)));
+        let swap = ViewCell::new(Arc::new(LiveView::synthetic(0, 24)));
         let done = AtomicBool::new(false);
         let loads = AtomicU64::new(0);
         std::thread::scope(|s| {

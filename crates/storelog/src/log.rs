@@ -474,7 +474,15 @@ pub struct ShardStream {
 
 impl ShardStream {
     pub fn iter(&self) -> frame::PayloadIter<'_> {
-        frame::payloads(&self.bytes, 0)
+        self.iter_from(0)
+    }
+
+    /// [`Self::iter`] resumed at byte offset `pos` — a frame boundary,
+    /// normally a previous iterator's [`frame::PayloadIter::offset`]. Lets a
+    /// consumer hold the stream and a position instead of a borrowing
+    /// iterator, e.g. to decode one round at a time.
+    pub fn iter_from(&self, pos: u64) -> frame::PayloadIter<'_> {
+        frame::payloads(&self.bytes, pos)
     }
 }
 
@@ -516,6 +524,28 @@ mod tests {
             assert_eq!(recs[0], record(s, 0, 0));
             assert_eq!(recs[7], record(s, 3, 1));
         }
+    }
+
+    #[test]
+    fn stream_resumes_at_any_frame_boundary() {
+        let t = TempDir::new("iter_from");
+        write_rounds(&t.0, 2, 3, 2);
+        let r = LogReader::open(&t.0).unwrap();
+        let stream = r.stream_shard(1).unwrap();
+        let all: Vec<&[u8]> = stream.iter().collect();
+        // Step one payload at a time, re-creating the iterator from the
+        // saved offset each step: the same payloads, then exhaustion.
+        let mut pos = 0;
+        let mut stepped = Vec::new();
+        loop {
+            let mut it = stream.iter_from(pos);
+            let Some(p) = it.next() else { break };
+            stepped.push(p);
+            pos = it.offset();
+        }
+        assert_eq!(stepped, all);
+        assert_eq!(stepped.len(), 6);
+        assert_eq!(stream.iter_from(pos).next(), None);
     }
 
     #[test]
