@@ -8,6 +8,7 @@ use dangling_core::signature::{Signature, HUGE_SITEMAP_BYTES};
 use dangling_core::snapshot::Snapshot;
 use dns::{Authority, Name, RecordData, Resolver, ResourceRecord, Zone, ZoneSet};
 use simcore::SimTime;
+use std::sync::Arc;
 
 fn setup_resolver(n: usize) -> (Resolver<Authority>, Vec<Name>) {
     let mut zs = ZoneSet::new();
@@ -99,7 +100,7 @@ fn bench_signature_matching(c: &mut Criterion) {
     );
     snap.http_status = Some(200);
     snap.ingest_content(&html, false);
-    snap.sitemap_bytes = Some(900_000);
+    Arc::make_mut(&mut snap.content).sitemap_bytes = Some(900_000);
     let signatures: Vec<Signature> = (0..200)
         .map(|i| Signature {
             id: i,

@@ -31,6 +31,7 @@ use dns::{Authority, Name, Rcode, RecordData, Resolver, ResourceRecord, Zone, Zo
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simcore::{RngTree, SimTime};
+use std::sync::Arc;
 
 /// A platform hosting `n` bound sites with real content, plus the org zone
 /// pointing at them — the substrate of one monitoring round.
@@ -119,14 +120,15 @@ fn synth_changes(n: usize) -> Vec<ChangeRecord> {
             let mut after = Snapshot::unreachable(fqdn.clone(), day, Rcode::NoError, None);
             after.http_status = Some(200);
             after.index_hash = i as u64;
-            after.keywords = pool
+            let content = Arc::make_mut(&mut after.content);
+            content.keywords = pool
                 .iter()
                 .enumerate()
                 .filter(|(k, _)| *k != i % pool.len())
                 .map(|(_, w)| w.to_string())
                 .collect();
-            after.sitemap_bytes = (i % 3 == 0).then_some(800_000);
-            after.identifiers = vec![format!("phone:62{}", i % 5)];
+            content.sitemap_bytes = (i % 3 == 0).then_some(800_000);
+            content.identifiers = vec![format!("phone:62{}", i % 5)];
             ChangeRecord {
                 fqdn,
                 day,
@@ -157,8 +159,9 @@ fn bench_retro_scaling(c: &mut Criterion) {
         .enumerate()
         .map(|(i, rec)| {
             let mut s = rec.after;
-            s.keywords = vec![format!("benign{}", i % 50), "newsletter".into()];
-            s.identifiers.clear();
+            let content = Arc::make_mut(&mut s.content);
+            content.keywords = vec![format!("benign{}", i % 50), "newsletter".into()];
+            content.identifiers.clear();
             s
         })
         .collect();

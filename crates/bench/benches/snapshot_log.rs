@@ -29,6 +29,7 @@ use dangling_core::snapshot::{fqdn_shard, Snapshot};
 use dns::Rcode;
 use simcore::SimTime;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use storelog::{LogReader, LogWriter};
 
 const SHARDS: usize = 16;
@@ -87,12 +88,13 @@ fn base_record(i: usize) -> ObsRecord {
     snap.http_status = Some(200);
     snap.index_hash = mix(i as u64, 0);
     snap.index_size = 18_432;
-    snap.title = Some(format!("Corp {parent} Developer Portal"));
-    snap.language = Some("en".into());
-    snap.keywords = ["developer", "portal", "docs", "api"]
+    let content = Arc::make_mut(&mut snap.content);
+    content.title = Some(format!("Corp {parent} Developer Portal"));
+    content.language = Some("en".into());
+    content.keywords = ["developer", "portal", "docs", "api"]
         .map(String::from)
         .to_vec();
-    snap.sitemap_bytes = Some(48_000);
+    content.sitemap_bytes = Some(48_000);
     ObsRecord {
         round: SimTime(0),
         seq: i as u32,
@@ -112,15 +114,15 @@ fn advance_round(pool: &mut [ObsRecord], r: u64) {
         rec.seq = (r as u32).wrapping_mul(POOL as u32) + i as u32;
         let changed = r > 0 && (i as u64 + r * 53).is_multiple_of(CHANGE_EVERY);
         if changed {
-            let before_sitemap = rec.snap.sitemap_bytes;
+            let before_sitemap = rec.snap.content.sitemap_bytes;
             rec.snap.index_hash = mix(i as u64, r);
-            rec.snap.sitemap_bytes = Some(48_000 + r * 17);
+            Arc::make_mut(&mut rec.snap.content).sitemap_bytes = Some(48_000 + r * 17);
             rec.change = Some(ChangeMeta {
                 kinds: vec![ChangeKind::Content, ChangeKind::SitemapGrew],
-                before_language: rec.snap.language.clone(),
+                before_language: rec.snap.content.language.clone(),
                 before_sitemap_bytes: before_sitemap,
                 before_serving: true,
-                before_keywords: rec.snap.keywords.clone(),
+                before_keywords: rec.snap.content.keywords.clone(),
             });
         } else {
             rec.change = None;

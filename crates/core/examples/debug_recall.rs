@@ -48,9 +48,9 @@ fn main() {
                     "   day={} kinds={:?} kw={:?} meta={:?} sm={:?} serving={}",
                     c.day,
                     c.kinds,
-                    c.after.keywords,
-                    c.after.meta_keywords,
-                    c.after.sitemap_bytes,
+                    c.after.content.keywords,
+                    c.after.content.meta_keywords,
+                    c.after.content.sitemap_bytes,
                     c.after.is_serving()
                 );
             }

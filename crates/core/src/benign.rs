@@ -32,9 +32,10 @@ impl ChangeCluster {
 /// One record's cluster fingerprint: its first five content keywords, or its
 /// first five meta keywords when the content yields none.
 pub(crate) fn fingerprint(rec: &ChangeRecord) -> Option<String> {
-    let mut fp: Vec<String> = rec.after.keywords.iter().take(5).cloned().collect();
+    let content = &rec.after.content;
+    let mut fp: Vec<String> = content.keywords.iter().take(5).cloned().collect();
     if fp.is_empty() {
-        fp = rec.after.meta_keywords.iter().take(5).cloned().collect();
+        fp = content.meta_keywords.iter().take(5).cloned().collect();
     }
     if fp.is_empty() {
         return None;
@@ -163,11 +164,12 @@ mod tests {
     use crate::snapshot::Snapshot;
     use dns::Rcode;
     use simcore::SimTime;
+    use std::sync::Arc;
 
     fn change(fqdn: &str, kws: &[&str]) -> ChangeRecord {
         let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(1), Rcode::NoError, None);
         s.http_status = Some(200);
-        s.keywords = kws.iter().map(|k| k.to_string()).collect();
+        Arc::make_mut(&mut s.content).keywords = kws.iter().map(|k| k.to_string()).collect();
         ChangeRecord {
             fqdn: fqdn.parse().unwrap(),
             day: SimTime(1),

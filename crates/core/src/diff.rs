@@ -69,12 +69,12 @@ pub fn diff(prev: &Snapshot, curr: &Snapshot) -> Vec<ChangeKind> {
     if curr.is_serving() && prev.index_hash != curr.index_hash && prev.index_hash != 0 {
         kinds.push(ChangeKind::Content);
     }
-    if let (Some(a), Some(b)) = (&prev.language, &curr.language) {
+    if let (Some(a), Some(b)) = (&prev.content.language, &curr.content.language) {
         if a != b {
             kinds.push(ChangeKind::Language);
         }
     }
-    match (prev.sitemap_bytes, curr.sitemap_bytes) {
+    match (prev.content.sitemap_bytes, curr.content.sitemap_bytes) {
         (None, Some(b)) if prev.is_serving() && b > 0 => kinds.push(ChangeKind::SitemapAppeared),
         (Some(a), Some(b)) if b >= a + SITEMAP_JUMP_BYTES => kinds.push(ChangeKind::SitemapGrew),
         _ => {}
@@ -93,10 +93,10 @@ pub fn record(prev: &Snapshot, curr: &Snapshot) -> Option<ChangeRecord> {
         fqdn: curr.fqdn.clone(),
         day: curr.day,
         kinds,
-        before_language: prev.language.clone(),
-        before_sitemap_bytes: prev.sitemap_bytes,
+        before_language: prev.content.language.clone(),
+        before_sitemap_bytes: prev.content.sitemap_bytes,
         before_serving: prev.is_serving(),
-        before_keywords: prev.keywords.clone(),
+        before_keywords: prev.content.keywords.clone(),
         after: curr.clone(),
     })
 }
@@ -105,6 +105,7 @@ pub fn record(prev: &Snapshot, curr: &Snapshot) -> Option<ChangeRecord> {
 mod tests {
     use super::*;
     use dns::Rcode;
+    use std::sync::Arc;
 
     fn base(day: i32) -> Snapshot {
         let mut s = Snapshot::unreachable(
@@ -115,7 +116,7 @@ mod tests {
         );
         s.http_status = Some(200);
         s.index_hash = 111;
-        s.language = Some("en".into());
+        Arc::make_mut(&mut s.content).language = Some("en".into());
         s
     }
 
@@ -132,7 +133,7 @@ mod tests {
         let a = base(0);
         let mut b = base(7);
         b.index_hash = 222;
-        b.language = Some("id".into());
+        Arc::make_mut(&mut b.content).language = Some("id".into());
         let kinds = diff(&a, &b);
         assert!(kinds.contains(&ChangeKind::Content));
         assert!(kinds.contains(&ChangeKind::Language));
@@ -150,19 +151,19 @@ mod tests {
     #[test]
     fn sitemap_thresholds() {
         let mut a = base(0);
-        a.sitemap_bytes = Some(50_000);
+        Arc::make_mut(&mut a.content).sitemap_bytes = Some(50_000);
         let mut b = base(7);
-        b.sitemap_bytes = Some(149_000);
+        Arc::make_mut(&mut b.content).sitemap_bytes = Some(149_000);
         assert!(
             diff(&a, &b).is_empty(),
             "99KB growth is under the threshold"
         );
-        b.sitemap_bytes = Some(150_000);
+        Arc::make_mut(&mut b.content).sitemap_bytes = Some(150_000);
         assert!(diff(&a, &b).contains(&ChangeKind::SitemapGrew));
         // Appearance.
         let none = base(0);
         let mut c = base(7);
-        c.sitemap_bytes = Some(10_000);
+        Arc::make_mut(&mut c.content).sitemap_bytes = Some(10_000);
         assert!(diff(&none, &c).contains(&ChangeKind::SitemapAppeared));
     }
 

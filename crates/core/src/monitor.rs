@@ -4,13 +4,15 @@
 //! sitemap only when the index responded. DNS state is recorded either way.
 //! Content features are extracted lazily — only when the body hash differs
 //! from the previous snapshot — which is also how the real system avoided
-//! re-analyzing terabytes of unchanged HTML.
+//! re-analyzing terabytes of unchanged HTML. An unchanged body's snapshot
+//! shares its predecessor's feature block rather than copying it.
 
 use crate::snapshot::{body_hash, Snapshot};
 use dns::resolver::{ResolutionInFlight, Transport};
 use dns::{Name, Resolver};
 use httpsim::{Endpoint, ProbeInFlight, ProbeKind, ProbeResult, ProbeWait};
 use simcore::SimTime;
+use std::sync::Arc;
 
 /// The network operation one in-flight crawl is waiting on. The crawl
 /// driver maps these onto its latency model's query classes.
@@ -241,6 +243,7 @@ impl<'a> CrawlInFlight<'a> {
                 match probe.into_result() {
                     ProbeResult::HttpResponse(resp) => {
                         let hash = body_hash(&resp.body);
+                        let changed = self.prev.map(|p| p.index_hash) != Some(hash);
                         let mut snap = Snapshot {
                             fqdn: self.fqdn.clone(),
                             day: self.now,
@@ -250,17 +253,14 @@ impl<'a> CrawlInFlight<'a> {
                             http_status: Some(resp.status.0),
                             index_hash: hash,
                             index_size: resp.body.len() as u32,
-                            title: None,
-                            language: None,
-                            keywords: Vec::new(),
-                            meta_keywords: Vec::new(),
-                            generator: None,
-                            sitemap_bytes: None,
-                            script_srcs: Vec::new(),
-                            identifiers: Vec::new(),
+                            content: match self.prev {
+                                // Same body: share the features, copy
+                                // nothing.
+                                Some(p) if !changed => Arc::clone(&p.content),
+                                _ => Arc::default(),
+                            },
                             html: None,
                         };
-                        let changed = self.prev.map(|p| p.index_hash) != Some(hash);
                         if changed && resp.status.is_success() {
                             let html = String::from_utf8_lossy(&resp.body);
                             snap.ingest_content(&html, true);
@@ -283,11 +283,6 @@ impl<'a> CrawlInFlight<'a> {
                                 probe,
                             }
                         } else {
-                            if !changed {
-                                if let Some(p) = self.prev {
-                                    snap.inherit_features(p);
-                                }
-                            }
                             CrawlPhase::Done(Box::new(snap))
                         }
                     }
@@ -307,7 +302,9 @@ impl<'a> CrawlInFlight<'a> {
             CrawlPhase::Sitemap { mut snap, probe } => {
                 if let ProbeResult::HttpResponse(sm) = probe.into_result() {
                     if sm.status.is_success() {
-                        snap.sitemap_bytes = sm
+                        // The block came fresh from `ingest_content`, so
+                        // `make_mut` does not copy it.
+                        Arc::make_mut(&mut snap.content).sitemap_bytes = sm
                             .headers
                             .get("Content-Length")
                             .and_then(|v| v.parse().ok())
@@ -340,8 +337,8 @@ pub struct Crawler;
 
 impl Crawler {
     /// Take one observation of `fqdn`. `prev` enables the lazy feature
-    /// extraction: an unchanged body inherits the previous features instead
-    /// of re-parsing (and instead of losing them).
+    /// extraction: an unchanged body shares the previous snapshot's feature
+    /// block instead of re-parsing (and instead of losing them).
     ///
     /// Thin blocking driver of [`CrawlInFlight`]: every wait completes
     /// instantly, which is exactly the schedule the event-driven crawl
@@ -407,8 +404,8 @@ mod tests {
         let fqdn: Name = "shop.acme.com".parse().unwrap();
         let s = Crawler::sample(&fqdn, &resolver, &platform, None, SimTime(7));
         assert_eq!(s.http_status, Some(200));
-        assert!(s.title.as_deref().unwrap().contains("ACME"));
-        assert_eq!(s.sitemap_bytes, Some(120 + 40_000 * 80));
+        assert!(s.content.title.as_deref().unwrap().contains("ACME"));
+        assert_eq!(s.content.sitemap_bytes, Some(120 + 40_000 * 80));
         assert!(s.html.is_some());
         assert!(s.ip.is_some());
     }
@@ -422,9 +419,40 @@ mod tests {
         assert_eq!(second.index_hash, first.index_hash);
         // Lazy path: no re-extraction and no second request, but features
         // are inherited so downstream consumers never see an empty view.
-        assert_eq!(second.title, first.title);
-        assert_eq!(second.sitemap_bytes, first.sitemap_bytes);
+        assert_eq!(second.content.title, first.content.title);
+        assert_eq!(second.content.sitemap_bytes, first.content.sitemap_bytes);
         assert!(second.html.is_none());
+    }
+
+    #[test]
+    fn unchanged_body_shares_the_feature_block() {
+        let (platform, resolver) = build();
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        let first = Crawler::sample(&fqdn, &resolver, &platform, None, SimTime(7));
+        let second = Crawler::sample(&fqdn, &resolver, &platform, Some(&first), SimTime(14));
+        let third = Crawler::sample(&fqdn, &resolver, &platform, Some(&second), SimTime(21));
+        assert!(Arc::ptr_eq(&second.content, &first.content));
+        assert!(Arc::ptr_eq(&third.content, &first.content));
+    }
+
+    #[test]
+    fn changed_body_gets_a_fresh_feature_block() {
+        let (mut platform, resolver) = build();
+        let fqdn: Name = "shop.acme.com".parse().unwrap();
+        let first = Crawler::sample(&fqdn, &resolver, &platform, None, SimTime(7));
+        let id = platform
+            .resource_by_host(&"acme-shop.azurewebsites.net".parse().unwrap())
+            .unwrap()
+            .id;
+        platform.set_content(id, SiteContent::placeholder("Bistro lunch menu"));
+        let second = Crawler::sample(&fqdn, &resolver, &platform, Some(&first), SimTime(14));
+        assert_ne!(second.index_hash, first.index_hash);
+        assert!(!Arc::ptr_eq(&second.content, &first.content));
+        // Re-extracted from the new body; the old block is untouched.
+        assert!(second.content.title.as_deref().unwrap().contains("Bistro"));
+        assert_eq!(second.content.sitemap_bytes, None);
+        assert!(first.content.title.as_deref().unwrap().contains("ACME"));
+        assert_eq!(first.content.sitemap_bytes, Some(120 + 40_000 * 80));
     }
 
     #[test]

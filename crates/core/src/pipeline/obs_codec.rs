@@ -37,6 +37,7 @@ use dns::{Name, Rcode};
 use simcore::SimTime;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use storelog::codec::{
     put_ivarint, put_len_prefixed, put_uvarint, CodecError, CodecResult, Reader,
 };
@@ -103,7 +104,7 @@ pub struct ShardCodec {
     /// Dense name table; ids are assigned in stream order, shared between
     /// observed FQDNs and CNAME targets.
     names: Vec<Name>,
-    name_ids: HashMap<String, u32>,
+    name_ids: HashMap<Name, u32>,
     /// Per name id: the previous snapshot of that FQDN and the low 16 bits
     /// of FNV-64 over its record's payload bytes (the delta chain check).
     /// `None` for names only ever seen as CNAME targets.
@@ -136,13 +137,12 @@ impl ShardCodec {
     // -- name table ---------------------------------------------------------
 
     fn intern_name(&mut self, name: &Name) -> u32 {
-        let key = name.to_string();
-        match self.name_ids.get(&key) {
+        match self.name_ids.get(name) {
             Some(&id) => id,
             None => {
                 let id = self.names.len() as u32;
                 self.names.push(name.clone());
-                self.name_ids.insert(key, id);
+                self.name_ids.insert(name.clone(), id);
                 self.last.push(None);
                 id
             }
@@ -169,22 +169,21 @@ impl ShardCodec {
         }
         let name = Name::from_labels(labels)
             .map_err(|e| CodecError::Malformed(format!("invalid name: {e}")))?;
-        let key = name.to_string();
-        if self.name_ids.contains_key(&key) {
+        if self.name_ids.contains_key(&name) {
             return Err(CodecError::Malformed(format!(
-                "duplicate name definition of {key} (duplicated or spliced frame)"
+                "duplicate name definition of {name} (duplicated or spliced frame)"
             )));
         }
         let id = self.names.len() as u32;
-        self.names.push(name);
-        self.name_ids.insert(key, id);
+        self.names.push(name.clone());
+        self.name_ids.insert(name, id);
         self.last.push(None);
         Ok(id)
     }
 
     /// `0` = new name (labels follow), `k>0` = existing id `k-1`.
     fn put_name_ref(&mut self, name: &Name, out: &mut Vec<u8>) -> u32 {
-        match self.name_ids.get(&name.to_string()).copied() {
+        match self.name_ids.get(name).copied() {
             Some(id) => {
                 put_uvarint(id as u64 + 1, out);
                 id
@@ -208,7 +207,7 @@ impl ShardCodec {
     fn put_opt_name_ref(&mut self, name: Option<&Name>, out: &mut Vec<u8>) {
         match name {
             None => put_uvarint(0, out),
-            Some(n) => match self.name_ids.get(&n.to_string()).copied() {
+            Some(n) => match self.name_ids.get(n).copied() {
                 Some(id) => put_uvarint(id as u64 + 2, out),
                 None => {
                     put_uvarint(1, out);
@@ -242,10 +241,16 @@ impl ShardCodec {
 
     /// Encode `rec` into `out` (cleared first) and advance the context.
     pub fn encode_into(&mut self, rec: &ObsRecord, out: &mut Vec<u8>) {
+        self.encode(rec.clone(), out);
+    }
+
+    /// [`Self::encode_into`] for an owned record: the context keeps its
+    /// snapshot as the FQDN's next delta base without cloning it.
+    pub fn encode(&mut self, rec: ObsRecord, out: &mut Vec<u8>) {
         out.clear();
         let known = self
             .name_ids
-            .get(&rec.snap.fqdn.to_string())
+            .get(&rec.snap.fqdn)
             .copied()
             .filter(|&id| self.last[id as usize].is_some());
         let id = match known {
@@ -275,7 +280,7 @@ impl ShardCodec {
         };
         self.put_change(rec.change.as_ref(), out);
         let chain = (storelog::frame::fnv64(out) & 0xffff) as u16;
-        self.last[id as usize] = Some((rec.snap.clone(), chain));
+        self.last[id as usize] = Some((rec.snap, chain));
     }
 
     /// Snapshot body: day delta + field mask + only the differing fields,
@@ -302,29 +307,24 @@ impl ShardCodec {
         if snap.index_size != base.index_size {
             mask |= F_INDEX_SIZE;
         }
-        if snap.title != base.title {
-            mask |= F_TITLE;
-        }
-        if snap.language != base.language {
-            mask |= F_LANGUAGE;
-        }
-        if snap.keywords != base.keywords {
-            mask |= F_KEYWORDS;
-        }
-        if snap.meta_keywords != base.meta_keywords {
-            mask |= F_META_KEYWORDS;
-        }
-        if snap.generator != base.generator {
-            mask |= F_GENERATOR;
-        }
-        if snap.sitemap_bytes != base.sitemap_bytes {
-            mask |= F_SITEMAP;
-        }
-        if snap.script_srcs != base.script_srcs {
-            mask |= F_SCRIPT_SRCS;
-        }
-        if snap.identifiers != base.identifiers {
-            mask |= F_IDENTIFIERS;
+        // A shared block is the common case (an unchanged body): nothing of
+        // it can differ.
+        if !Arc::ptr_eq(&snap.content, &base.content) {
+            let (c, b) = (&*snap.content, &*base.content);
+            for (differs, bit) in [
+                (c.title != b.title, F_TITLE),
+                (c.language != b.language, F_LANGUAGE),
+                (c.keywords != b.keywords, F_KEYWORDS),
+                (c.meta_keywords != b.meta_keywords, F_META_KEYWORDS),
+                (c.generator != b.generator, F_GENERATOR),
+                (c.sitemap_bytes != b.sitemap_bytes, F_SITEMAP),
+                (c.script_srcs != b.script_srcs, F_SCRIPT_SRCS),
+                (c.identifiers != b.identifiers, F_IDENTIFIERS),
+            ] {
+                if differs {
+                    mask |= bit;
+                }
+            }
         }
         if snap.html != base.html {
             mask |= F_HTML;
@@ -356,22 +356,23 @@ impl ShardCodec {
             put_uvarint(snap.index_size as u64, out);
         }
         if mask & F_TITLE != 0 {
-            self.strs.put_opt_ref(snap.title.as_deref(), out);
+            self.strs.put_opt_ref(snap.content.title.as_deref(), out);
         }
         if mask & F_LANGUAGE != 0 {
-            self.strs.put_opt_ref(snap.language.as_deref(), out);
+            self.strs.put_opt_ref(snap.content.language.as_deref(), out);
         }
         if mask & F_KEYWORDS != 0 {
-            self.put_str_list(&snap.keywords, out);
+            self.put_str_list(&snap.content.keywords, out);
         }
         if mask & F_META_KEYWORDS != 0 {
-            self.put_str_list(&snap.meta_keywords, out);
+            self.put_str_list(&snap.content.meta_keywords, out);
         }
         if mask & F_GENERATOR != 0 {
-            self.strs.put_opt_ref(snap.generator.as_deref(), out);
+            self.strs
+                .put_opt_ref(snap.content.generator.as_deref(), out);
         }
         if mask & F_SITEMAP != 0 {
-            match snap.sitemap_bytes {
+            match snap.content.sitemap_bytes {
                 None => out.push(0),
                 Some(b) => {
                     out.push(1);
@@ -380,10 +381,10 @@ impl ShardCodec {
             }
         }
         if mask & F_SCRIPT_SRCS != 0 {
-            self.put_str_list(&snap.script_srcs, out);
+            self.put_str_list(&snap.content.script_srcs, out);
         }
         if mask & F_IDENTIFIERS != 0 {
-            self.put_str_list(&snap.identifiers, out);
+            self.put_str_list(&snap.content.identifiers, out);
         }
         if mask & F_HTML != 0 {
             match &snap.html {
@@ -576,22 +577,22 @@ impl ShardCodec {
                 .map_err(|_| CodecError::Malformed(format!("index size {v} overflows u32")))?;
         }
         if mask & F_TITLE != 0 {
-            snap.title = self.read_opt_str(r)?;
+            Arc::make_mut(&mut snap.content).title = self.read_opt_str(r)?;
         }
         if mask & F_LANGUAGE != 0 {
-            snap.language = self.read_opt_str(r)?;
+            Arc::make_mut(&mut snap.content).language = self.read_opt_str(r)?;
         }
         if mask & F_KEYWORDS != 0 {
-            snap.keywords = self.read_str_list(r)?;
+            Arc::make_mut(&mut snap.content).keywords = self.read_str_list(r)?;
         }
         if mask & F_META_KEYWORDS != 0 {
-            snap.meta_keywords = self.read_str_list(r)?;
+            Arc::make_mut(&mut snap.content).meta_keywords = self.read_str_list(r)?;
         }
         if mask & F_GENERATOR != 0 {
-            snap.generator = self.read_opt_str(r)?;
+            Arc::make_mut(&mut snap.content).generator = self.read_opt_str(r)?;
         }
         if mask & F_SITEMAP != 0 {
-            snap.sitemap_bytes = match r.u8()? {
+            Arc::make_mut(&mut snap.content).sitemap_bytes = match r.u8()? {
                 0 => None,
                 1 => Some(r.uvarint()?),
                 b => {
@@ -602,10 +603,10 @@ impl ShardCodec {
             };
         }
         if mask & F_SCRIPT_SRCS != 0 {
-            snap.script_srcs = self.read_str_list(r)?;
+            Arc::make_mut(&mut snap.content).script_srcs = self.read_str_list(r)?;
         }
         if mask & F_IDENTIFIERS != 0 {
-            snap.identifiers = self.read_str_list(r)?;
+            Arc::make_mut(&mut snap.content).identifiers = self.read_str_list(r)?;
         }
         if mask & F_HTML != 0 {
             snap.html = match r.u8()? {
@@ -710,14 +711,15 @@ mod tests {
         s.http_status = Some(200);
         s.index_hash = 0xfeed_beef;
         s.index_size = 4821;
-        s.title = Some("Welcome — «démo»".into());
-        s.language = Some("fr".into());
-        s.keywords = vec!["casino".into(), "slots".into()];
-        s.meta_keywords = vec!["casino".into()];
-        s.generator = Some("WordPress 6.2".into());
-        s.sitemap_bytes = Some(120_000);
-        s.script_srcs = vec!["https://cdn.example/app.js".into()];
-        s.identifiers = vec!["ua-1234".into()];
+        let c = Arc::make_mut(&mut s.content);
+        c.title = Some("Welcome — «démo»".into());
+        c.language = Some("fr".into());
+        c.keywords = vec!["casino".into(), "slots".into()];
+        c.meta_keywords = vec!["casino".into()];
+        c.generator = Some("WordPress 6.2".into());
+        c.sitemap_bytes = Some(120_000);
+        c.script_srcs = vec!["https://cdn.example/app.js".into()];
+        c.identifiers = vec!["ua-1234".into()];
         s.html = Some("<html lang=\"fr\">🦀</html>".into());
         s
     }
@@ -810,6 +812,59 @@ mod tests {
             "two-field delta is {} bytes",
             payloads[1].len()
         );
+    }
+
+    #[test]
+    fn shared_and_copied_blocks_encode_identically() {
+        let first = serving("s.cloud.example", 0);
+        let mut shared = first.clone();
+        shared.day = SimTime(7);
+        let mut copied = shared.clone();
+        copied.content = Arc::new((*first.content).clone());
+        let encode = |next: &Snapshot| {
+            let mut enc = ShardCodec::new();
+            let mut buf = Vec::new();
+            enc.encode_into(&rec(0, 0, first.clone(), None), &mut buf);
+            enc.encode_into(&rec(7, 0, next.clone(), None), &mut buf);
+            buf
+        };
+        assert_eq!(encode(&shared), encode(&copied));
+    }
+
+    #[test]
+    fn featureless_delta_shares_its_predecessors_block() {
+        let first = serving("d.cloud.example", 0);
+        let mut same = first.clone();
+        same.day = SimTime(7);
+        same.http_status = Some(404);
+        let mut retitled = same.clone();
+        retitled.day = SimTime(14);
+        Arc::make_mut(&mut retitled.content).title = Some("Under new ownership".into());
+        let mut enc = ShardCodec::new();
+        let payloads: Vec<Vec<u8>> = [(0, first), (7, same), (14, retitled)]
+            .into_iter()
+            .map(|(day, s)| {
+                let mut buf = Vec::new();
+                enc.encode(rec(day, 0, s, None), &mut buf);
+                buf
+            })
+            .collect();
+
+        let mut dec = ShardCodec::new();
+        let d0 = dec.decode(&payloads[0]).unwrap().snap;
+        let d1 = dec.decode(&payloads[1]).unwrap().snap;
+        // No feature bit: the decoded snapshot and the codec table's delta
+        // base both hold the predecessor's block.
+        assert!(Arc::ptr_eq(&d1.content, &d0.content));
+        let (base, _) = dec.last[0].as_ref().unwrap();
+        assert!(Arc::ptr_eq(&base.content, &d0.content));
+
+        // A feature bit: a new block, and the predecessor is unmodified.
+        let d2 = dec.decode(&payloads[2]).unwrap().snap;
+        assert!(!Arc::ptr_eq(&d2.content, &d1.content));
+        assert_eq!(d2.content.title.as_deref(), Some("Under new ownership"));
+        assert_eq!(d1.content.title.as_deref(), Some("Welcome — «démo»"));
+        assert_eq!(d2.content.keywords, d1.content.keywords);
     }
 
     #[test]

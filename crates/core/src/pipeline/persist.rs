@@ -71,6 +71,7 @@ use super::{CrawlOutcome, RunState};
 use crate::diff::{ChangeKind, ChangeRecord};
 use crate::scenario::ScenarioConfig;
 use crate::snapshot::Snapshot;
+use dns::Name;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::collections::HashMap;
@@ -586,7 +587,7 @@ impl PersistStage {
             };
             let shard = rs.store.shard_of(&out.snap.fqdn);
             if self.payload_format >= 2 {
-                self.codecs[shard].encode_into(&rec, &mut self.scratch);
+                self.codecs[shard].encode(rec, &mut self.scratch);
                 self.writer.append(shard, &self.scratch);
             } else {
                 let payload = serde_json::to_vec(&rec)?;
@@ -678,19 +679,19 @@ pub fn compact_state_dir(dir: &Path) -> Result<CompactStats, PersistError> {
             .map_err(|e| format!("shard {shard}: {e}"))?;
         // Same retention rule as v1: keep every change record, plus the
         // last record per FQDN among the unchanged-snapshot ones.
-        let mut last_of: HashMap<String, usize> = HashMap::new();
+        let mut last_of: HashMap<Name, usize> = HashMap::new();
         for (i, rec) in recs.iter().enumerate() {
             if rec.change.is_none() {
-                last_of.insert(rec.snap.fqdn.to_string(), i);
+                last_of.insert(rec.snap.fqdn.clone(), i);
             }
         }
         let mut enc = ShardCodec::new();
         let mut out = Vec::new();
-        for (i, rec) in recs.iter().enumerate() {
-            let keep = rec.change.is_some() || last_of.get(&rec.snap.fqdn.to_string()) == Some(&i);
+        for (i, rec) in recs.into_iter().enumerate() {
+            let keep = rec.change.is_some() || last_of.get(&rec.snap.fqdn) == Some(&i);
             if keep {
                 let mut buf = Vec::new();
-                enc.encode_into(rec, &mut buf);
+                enc.encode(rec, &mut buf);
                 out.push(buf);
             }
         }
@@ -779,7 +780,7 @@ pub fn migrate_state_dir(dir: &Path) -> Result<MigrateStats, PersistError> {
                 };
                 consumed[shard] += storelog::frame::frame_len(payload.len()) as u64;
                 let rec: ObsRecord = serde_json::from_slice(payload)?;
-                codecs[shard].encode_into(&rec, &mut buf);
+                codecs[shard].encode(rec, &mut buf);
                 writer.append(shard, &buf);
                 stats.records += 1;
                 stats.bytes_before += payload.len() as u64;
@@ -820,13 +821,14 @@ pub fn migrate_state_dir(dir: &Path) -> Result<MigrateStats, PersistError> {
 mod tests {
     use super::*;
     use dns::Rcode;
+    use std::sync::Arc;
 
     fn snap(fqdn: &str, day: i32) -> Snapshot {
         let mut s =
             Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(day), Rcode::NoError, None);
         s.http_status = Some(200);
         s.index_hash = 7;
-        s.title = Some("Titre — déjà vu".into());
+        Arc::make_mut(&mut s.content).title = Some("Titre — déjà vu".into());
         s
     }
 

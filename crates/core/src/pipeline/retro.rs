@@ -115,19 +115,20 @@ pub(crate) fn assemble_results(
                 signature_kinds: Vec::new(),
                 topic: outcome.topic,
                 techniques: outcome.techniques,
-                language: rec.after.language.clone(),
+                language: rec.after.content.language.clone(),
                 cname_target: rec.after.cname_target.clone(),
                 service,
-                sitemap_bytes: rec.after.sitemap_bytes,
+                sitemap_bytes: rec.after.content.sitemap_bytes,
                 page_count_est: rec
                     .after
+                    .content
                     .sitemap_bytes
                     .map(|b| b.saturating_sub(120) / 80)
                     .unwrap_or(0),
-                identifiers: rec.after.identifiers.clone(),
-                meta_keywords: rec.after.meta_keywords.clone(),
-                keywords: rec.after.keywords.clone(),
-                generator: rec.after.generator.clone(),
+                identifiers: rec.after.content.identifiers.clone(),
+                meta_keywords: rec.after.content.meta_keywords.clone(),
+                keywords: rec.after.content.keywords.clone(),
+                generator: rec.after.content.generator.clone(),
                 html: rec.after.html.clone(),
             }
         });

@@ -66,6 +66,7 @@ impl Signature {
         if !snap.is_serving() {
             return false;
         }
+        let content = &snap.content;
         // Majority keyword match: at least ⌈k/2⌉ of the signature keywords
         // must appear (abuse pages share campaign vocabulary, not exact
         // keyword lists; precision is protected by benign validation).
@@ -74,15 +75,15 @@ impl Signature {
             .keywords
             .iter()
             .filter(|kw| {
-                snap.keywords.iter().any(|k| &k == kw)
-                    || snap.meta_keywords.iter().any(|k| &k == kw)
+                content.keywords.iter().any(|k| &k == kw)
+                    || content.meta_keywords.iter().any(|k| &k == kw)
             })
             .count();
         if hits < needed.max(1) {
             return false;
         }
         if let Some(min) = self.min_sitemap_bytes {
-            if snap.sitemap_bytes.unwrap_or(0) < min {
+            if content.sitemap_bytes.unwrap_or(0) < min {
                 return false;
             }
         }
@@ -90,12 +91,12 @@ impl Signature {
             let any = self
                 .script_markers
                 .iter()
-                .any(|m| snap.script_srcs.iter().any(|s| s.contains(m.as_str())));
+                .any(|m| content.script_srcs.iter().any(|s| s.contains(m.as_str())));
             if !any {
                 return false;
             }
         }
-        if self.requires_identifiers && snap.identifiers.is_empty() {
+        if self.requires_identifiers && content.identifiers.is_empty() {
             return false;
         }
         true
@@ -131,7 +132,9 @@ pub fn is_suspicious(rec: &ChangeRecord) -> bool {
             ChangeKind::Content | ChangeKind::HttpStatus | ChangeKind::Dns
         )
     });
-    if only_content && crate::keywords::overlap(&rec.before_keywords, &rec.after.keywords) >= 0.5 {
+    if only_content
+        && crate::keywords::overlap(&rec.before_keywords, &rec.after.content.keywords) >= 0.5
+    {
         return false;
     }
     true
@@ -154,7 +157,7 @@ struct GroupMember {
 impl GroupMember {
     fn of(rec: &ChangeRecord, fingerprint: Vec<String>) -> Self {
         let mut script_files = std::collections::BTreeSet::new();
-        for src in &rec.after.script_srcs {
+        for src in &rec.after.content.script_srcs {
             if let Some(fname) = src.rsplit('/').next() {
                 script_files.insert(fname.to_string());
             }
@@ -162,9 +165,9 @@ impl GroupMember {
         GroupMember {
             fingerprint,
             sld: rec.fqdn.sld(),
-            sitemap_bytes: rec.after.sitemap_bytes,
+            sitemap_bytes: rec.after.content.sitemap_bytes,
             script_files,
-            has_identifiers: !rec.after.identifiers.is_empty(),
+            has_identifiers: !rec.after.content.identifiers.is_empty(),
         }
     }
 }
@@ -340,8 +343,8 @@ pub fn derive_signatures(changes: &[ChangeRecord], min_slds: usize) -> Vec<Signa
 }
 
 fn member_keywords(rec: &ChangeRecord) -> Vec<String> {
-    let mut v = rec.after.keywords.clone();
-    v.extend(rec.after.meta_keywords.iter().cloned());
+    let mut v = rec.after.content.keywords.clone();
+    v.extend(rec.after.content.meta_keywords.iter().cloned());
     v.sort();
     v.dedup();
     v
@@ -401,14 +404,16 @@ mod tests {
     use super::*;
     use dns::Rcode;
     use simcore::SimTime;
+    use std::sync::Arc;
 
     fn snap(fqdn: &str, kws: &[&str], sitemap: Option<u64>, ids: &[&str]) -> Snapshot {
         let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(10), Rcode::NoError, None);
         s.http_status = Some(200);
         s.index_hash = 42;
-        s.keywords = kws.iter().map(|k| k.to_string()).collect();
-        s.sitemap_bytes = sitemap;
-        s.identifiers = ids.iter().map(|i| i.to_string()).collect();
+        let c = Arc::make_mut(&mut s.content);
+        c.keywords = kws.iter().map(|k| k.to_string()).collect();
+        c.sitemap_bytes = sitemap;
+        c.identifiers = ids.iter().map(|i| i.to_string()).collect();
         s
     }
 
@@ -492,7 +497,7 @@ mod tests {
         assert!(!sig.matches(&snap("x.v.com", &["slot", "judi"], Some(10_000), &[])));
         // Meta keywords count too.
         let mut s = snap("x.v.com", &[], Some(500_000), &[]);
-        s.meta_keywords = vec!["slot".into(), "judi".into()];
+        Arc::make_mut(&mut s.content).meta_keywords = vec!["slot".into(), "judi".into()];
         assert!(sig.matches(&s));
         // Unreachable snapshots never match.
         let mut dead = snap("x.v.com", &["slot", "judi"], Some(500_000), &[]);
@@ -533,7 +538,8 @@ mod tests {
         };
         let mut s = snap("x.v.com", &["slot"], None, &[]);
         assert!(!sig.matches(&s));
-        s.script_srcs = vec!["http://203.0.113.7/js/popunder.js".into()];
+        Arc::make_mut(&mut s.content).script_srcs =
+            vec!["http://203.0.113.7/js/popunder.js".into()];
         assert!(sig.matches(&s));
         assert_eq!(sig.kind(), SignatureKind::KeywordsInfra);
     }

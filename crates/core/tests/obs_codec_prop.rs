@@ -11,6 +11,7 @@ use dns::{Name, Rcode};
 use proptest::prelude::*;
 use simcore::SimTime;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Arbitrary valid names: 1–4 labels over the accepted alphabet, plus a
 /// slot for maximum-length labels (63 chars — the DNS wire limit edge).
@@ -69,14 +70,15 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
                 s.http_status = status;
                 s.index_hash = hash;
                 s.index_size = size;
-                s.title = title;
-                s.language = language;
-                s.keywords = keywords.clone();
-                s.meta_keywords = meta;
-                s.generator = generator;
-                s.sitemap_bytes = sitemap;
-                s.script_srcs = srcs;
-                s.identifiers = keywords; // reuse: interned lists may repeat
+                let c = Arc::make_mut(&mut s.content);
+                c.title = title;
+                c.language = language;
+                c.keywords = keywords.clone();
+                c.meta_keywords = meta;
+                c.generator = generator;
+                c.sitemap_bytes = sitemap;
+                c.script_srcs = srcs;
+                c.identifiers = keywords; // reuse: interned lists may repeat
                 s.html = html;
                 s
             },

@@ -11,6 +11,7 @@ use dns::{Name, Rcode};
 use proptest::prelude::*;
 use simcore::SimTime;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
     (
@@ -31,9 +32,10 @@ fn arb_snapshot() -> impl Strategy<Value = Snapshot> {
                 s.http_status = Some(200);
             }
             s.index_hash = hash;
-            s.keywords = kws;
-            s.meta_keywords = meta;
-            s.sitemap_bytes = sitemap;
+            let c = Arc::make_mut(&mut s.content);
+            c.keywords = kws;
+            c.meta_keywords = meta;
+            c.sitemap_bytes = sitemap;
             s
         })
 }
@@ -63,12 +65,13 @@ fn arb_persisted_snapshot() -> impl Strategy<Value = Snapshot> {
         .prop_map(
             |(fqdn, day, title, ip, status, keywords, hash, sitemap, html)| {
                 let mut s = Snapshot::unreachable(fqdn, SimTime(day), Rcode::NoError, None);
-                s.title = title;
+                let c = Arc::make_mut(&mut s.content);
+                c.title = title;
+                c.keywords = keywords;
+                c.sitemap_bytes = sitemap;
                 s.ip = ip.map(Ipv4Addr::from);
                 s.http_status = status;
-                s.keywords = keywords;
                 s.index_hash = hash;
-                s.sitemap_bytes = sitemap;
                 s.html = html;
                 s
             },
@@ -160,10 +163,11 @@ proptest! {
     #[test]
     fn matching_monotone(sig in arb_signature(), mut snap in arb_snapshot()) {
         snap.http_status = Some(200);
-        snap.identifiers = vec!["phone:62".into()];
+        Arc::make_mut(&mut snap.content).identifiers = vec!["phone:62".into()];
         let before = sig.matches(&snap);
-        snap.keywords.extend(sig.keywords.iter().cloned());
-        snap.sitemap_bytes = Some(snap.sitemap_bytes.unwrap_or(0).max(10_000_000));
+        let c = Arc::make_mut(&mut snap.content);
+        c.keywords.extend(sig.keywords.iter().cloned());
+        c.sitemap_bytes = Some(c.sitemap_bytes.unwrap_or(0).max(10_000_000));
         let after = sig.matches(&snap);
         prop_assert!(!before || after);
         // And the enriched snapshot always matches.

@@ -27,6 +27,7 @@ use dangling_core::snapshot::Snapshot;
 use dns::Rcode;
 use proptest::prelude::*;
 use simcore::SimTime;
+use std::sync::Arc;
 
 fn splitmix(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -57,9 +58,10 @@ fn snap(fqdn: &str, kws: &[String], sitemap: Option<u64>, ids: &[String]) -> Sna
     let mut s = Snapshot::unreachable(fqdn.parse().unwrap(), SimTime(10), Rcode::NoError, None);
     s.http_status = Some(200);
     s.index_hash = 42;
-    s.keywords = kws.to_vec();
-    s.sitemap_bytes = sitemap;
-    s.identifiers = ids.to_vec();
+    let c = Arc::make_mut(&mut s.content);
+    c.keywords = kws.to_vec();
+    c.sitemap_bytes = sitemap;
+    c.identifiers = ids.to_vec();
     s
 }
 
