@@ -1,6 +1,6 @@
 //! Shard-parallel stage scaling: the same workload run with 1/2/4/8 worker
-//! threads, for the weekly crawl and for the retrospective pass (benign
-//! clustering, signature validation, signature matching). The determinism
+//! threads, for the weekly crawl and for the retrospective fold's sharded
+//! phases (signature validation, signature matching). The determinism
 //! contract says the *output* is identical for every row here — only
 //! wall-clock should move. The scaling target is ≥2× on the 4-thread rows
 //! over the serial rows; note this needs ≥4 real cores (on a single-CPU
@@ -19,7 +19,6 @@
 
 use cloudsim::{AccountId, CloudPlatform, PlatformConfig, ServiceId, SiteContent, Sitemap};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dangling_core::benign::cluster_changes_sharded;
 use dangling_core::diff::{ChangeKind, ChangeRecord};
 use dangling_core::exec_metric_names;
 use dangling_core::pipeline::{CrawlExecutor, ShardedExecutor};
@@ -143,10 +142,10 @@ fn synth_changes(n: usize) -> Vec<ChangeRecord> {
         .collect()
 }
 
-/// The three shard-parallel retro stages over a 2 000-change history:
-/// benign clustering, signature validation against a benign corpus, and
-/// signature matching. Same keyed-shard partition as the live pipeline, so
-/// every thread count produces identical results.
+/// The two shard-parallel retro phases over a 2 000-change history:
+/// signature validation against a benign corpus, and signature matching.
+/// Same keyed-shard partition as the live pipeline, so every thread count
+/// produces identical results.
 fn bench_retro_scaling(c: &mut Criterion) {
     let changes = synth_changes(2_000);
     let signatures = derive_signatures(&changes, 2);
@@ -169,18 +168,6 @@ fn bench_retro_scaling(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("retro_parallel");
     g.throughput(Throughput::Elements(changes.len() as u64));
-    for threads in [1usize, 2, 4, 8] {
-        let exec = ShardedExecutor::new(threads, exec_metric_names!("bench.retro.cluster"));
-        g.bench_function(format!("cluster_2000_changes_t{threads}"), |b| {
-            b.iter(|| {
-                black_box(cluster_changes_sharded(
-                    &changes,
-                    |fqdn| Some((fqdn.to_string().len() % 7) as u16),
-                    &exec,
-                ))
-            })
-        });
-    }
     for threads in [1usize, 2, 4, 8] {
         let exec = ShardedExecutor::new(threads, exec_metric_names!("bench.retro.validate"));
         g.bench_function(format!("validate_sigs_t{threads}"), |b| {
@@ -210,12 +197,13 @@ fn bench_retro_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The streaming signature fold against the one-shot batch derivation over
-/// the same 2 000-change history. `derive_batch` is what the batch retro
-/// pass pays once at the horizon; `fold_stream` is the incremental pass's
-/// total push cost plus one final emission; `fold_per_round_emit` adds a
-/// signature emission at every round boundary — the real per-round overhead
-/// `repro --incremental` trades for streaming visibility.
+/// The signature fold against the reference batch derivation
+/// (`derive_signatures`) over the same 2 000-change history.
+/// `derive_batch` is the reference's one-shot cost; `fold_stream` is the
+/// fold's total push cost plus one final emission (what a horizon-only run
+/// pays); `fold_per_round_emit` adds a signature emission at every round
+/// boundary — the real per-round overhead `repro --incremental` trades for
+/// streaming visibility.
 fn bench_incremental_retro(c: &mut Criterion) {
     let mut changes = synth_changes(2_000);
     // Arrival order: rounds by strictly increasing day, FQDN-sorted within.

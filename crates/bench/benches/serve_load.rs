@@ -16,7 +16,7 @@
 //! publishing a prebuilt view.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use dangling_core::ScenarioConfig;
+use dangling_core::{Scenario, ScenarioConfig};
 use serve::{daemon, LiveView, LoadConfig, Query};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -40,7 +40,10 @@ fn live_load_contract() {
     let pipeline = {
         let done = done.clone();
         std::thread::spawn(move || {
-            let results = bench::run_study_cfg_sink(study_cfg(), None, true, Box::new(sink));
+            let results = Scenario::new(study_cfg())
+                .incremental(true)
+                .round_sink(Box::new(sink))
+                .run();
             done.store(true, Ordering::SeqCst);
             results
         })

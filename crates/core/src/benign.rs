@@ -31,7 +31,7 @@ impl ChangeCluster {
 
 /// One record's cluster fingerprint: its first five content keywords, or its
 /// first five meta keywords when the content yields none.
-pub(crate) fn fingerprint(rec: &ChangeRecord) -> Option<String> {
+fn fingerprint(rec: &ChangeRecord) -> Option<String> {
     let content = &rec.after.content;
     let mut fp: Vec<String> = content.keywords.iter().take(5).cloned().collect();
     if fp.is_empty() {
@@ -45,8 +45,8 @@ pub(crate) fn fingerprint(rec: &ChangeRecord) -> Option<String> {
 
 /// Fold records into a fingerprint → member-set map. Set insertion is
 /// commutative and idempotent, so the map's *contents* are the same for any
-/// feed order or partitioning — this is the merge step both the sharded
-/// batch pass and the round-by-round incremental retro pass build on.
+/// feed order or partitioning — this is the merge step the retro fold
+/// builds on, whether it ingests one round or the whole log at a time.
 pub fn fold_cluster_map<'a, I>(groups: &mut HashMap<String, BTreeSet<Name>>, changes: I)
 where
     I: IntoIterator<Item = &'a ChangeRecord>,
@@ -59,7 +59,7 @@ where
     }
 }
 
-/// Shared tail of serial, sharded, and incremental clustering: sorted-key
+/// Shared tail of one-shot and incremental clustering: sorted-key
 /// emission plus registrar annotation. The groups map already carries member
 /// sets, so the output depends only on its *contents*, never on insertion
 /// order. Borrows the map — the incremental pass keeps folding into it
@@ -99,44 +99,6 @@ where
 {
     let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
     fold_cluster_map(&mut groups, changes);
-    clusters_from_map(&groups, registrar_of)
-}
-
-/// [`cluster_changes`], shard-parallel: records are bucketed by the
-/// pipeline's fixed FQDN hash, each bucket builds a partial fingerprint →
-/// member-set map, and the partials are merged by set union — a commutative,
-/// associative merge, so the merged map (and the sorted-key emission that
-/// follows) is byte-identical to the serial pass for any thread count.
-pub fn cluster_changes_sharded<F>(
-    changes: &[ChangeRecord],
-    registrar_of: F,
-    exec: &crate::pipeline::ShardedExecutor,
-) -> Vec<ChangeCluster>
-where
-    F: Fn(&Name) -> Option<u16> + Sync,
-{
-    let buckets = crate::snapshot::DEFAULT_SHARDS;
-    let partials: Vec<HashMap<String, BTreeSet<Name>>> = exec.fold_buckets(
-        changes,
-        buckets,
-        |rec| crate::snapshot::fqdn_shard(&rec.fqdn, buckets),
-        |_b, members| {
-            let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
-            for (_, rec) in members {
-                let Some(key) = fingerprint(rec) else {
-                    continue;
-                };
-                groups.entry(key).or_default().insert(rec.fqdn.clone());
-            }
-            groups
-        },
-    );
-    let mut groups: HashMap<String, BTreeSet<Name>> = HashMap::new();
-    for partial in partials {
-        for (key, members) in partial {
-            groups.entry(key).or_default().extend(members);
-        }
-    }
     clusters_from_map(&groups, registrar_of)
 }
 
@@ -249,31 +211,5 @@ mod tests {
     fn empty_input() {
         assert!(cluster_changes(&[], reg).is_empty());
         assert!(registrar_diversity_series(&[]).is_empty());
-    }
-
-    #[test]
-    fn sharded_clustering_matches_serial() {
-        let changes: Vec<ChangeRecord> = (0..60)
-            .map(|i| {
-                let fqdn = format!("h{i}.apex{}.com", i % 7);
-                let kw = format!("kw{}", i % 5);
-                change(&fqdn, &[&kw, "judi"])
-            })
-            .collect();
-        let serial = cluster_changes(&changes, reg);
-        assert!(serial.len() > 1);
-        for threads in [1, 2, 8] {
-            let exec = crate::pipeline::ShardedExecutor::new(
-                threads,
-                crate::exec_metric_names!("test.benign"),
-            );
-            let sharded = cluster_changes_sharded(&changes, reg, &exec);
-            assert_eq!(serial.len(), sharded.len(), "threads={threads}");
-            for (a, b) in serial.iter().zip(&sharded) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.fqdns, b.fqdns);
-                assert_eq!(a.registrar_count, b.registrar_count);
-            }
-        }
     }
 }

@@ -1,23 +1,26 @@
 //! The shard-parallel weekly crawl (§3.2).
 //!
-//! [`CrawlExecutor`] fans one monitoring round out over worker threads. The
-//! contract is strict determinism: for the same world state the output is
-//! byte-identical for any thread count, because
+//! [`CrawlExecutor`] fans one monitoring round out over worker threads: each
+//! snapshot shard drains its own completion queue of interleaved in-flight
+//! crawls, every network wait priced by the [`LatencyModel`]. The contract
+//! is strict determinism: for the same world state the output is
+//! byte-identical for any thread count and any loss-free latency profile,
+//! because
 //!
 //! 1. work is partitioned by [`SnapshotStore::shard_of`] — a fixed hash of
 //!    the FQDN — never by arrival or iteration order,
 //! 2. every task reads the *pre-round* store (each FQDN appears once per
 //!    round, so no task can observe another's write), and
-//! 3. any randomness (the transient-failure model) comes from an RNG stream
-//!    keyed by `crawl/{fqdn}/{day}`, so it does not depend on which thread
-//!    or in which order the FQDN was crawled,
+//! 3. any randomness (the transient-failure model, latency draws) comes
+//!    from an RNG stream keyed by the FQDN and day, so it does not depend
+//!    on which thread or in which order the FQDN was crawled,
 //!
 //! and the outcomes are re-assembled in the canonical monitored order before
 //! the diff stage consumes them.
 
 use super::{RunState, ShardedExecutor, Stage};
 use crate::diff::{record as diff_record, ChangeRecord};
-use crate::monitor::{CrawlInFlight, CrawlWait, Crawler};
+use crate::monitor::{CrawlInFlight, CrawlWait};
 use crate::snapshot::{Snapshot, SnapshotStore};
 use dns::resolver::Transport;
 use dns::{Name, Resolver};
@@ -33,7 +36,7 @@ use simcore::{CompletionQueue, LatencyModel, QueryClass, QueryFate, RngTree, Sim
 pub struct CrawlOutcome {
     pub snap: Snapshot,
     pub change: Option<ChangeRecord>,
-    /// Total simulated time this crawl consumed (0 when the model is off).
+    /// Total simulated time this crawl consumed (0 under the zero profile).
     pub sim_elapsed_ns: u64,
     /// Simulated time the DNS resolution consumed.
     pub dns_elapsed_ns: u64,
@@ -46,9 +49,8 @@ pub struct CrawlExecutor {
     /// Per-fetch probability of a transient failure (network flake). Zero
     /// disables the model entirely — no RNG stream is even derived.
     failure_rate: f64,
-    /// Per-query latency oracle. When disabled (`off`), crawls take the
-    /// legacy blocking path; otherwise each shard drains a completion queue
-    /// of interleaved in-flight crawls.
+    /// Per-query latency oracle pricing every wait of the shard event
+    /// loops.
     latency: LatencyModel,
     /// Cap on concurrently in-flight crawls per shard event loop.
     max_inflight: usize,
@@ -64,8 +66,7 @@ impl CrawlExecutor {
         CrawlExecutor {
             exec: ShardedExecutor::new(threads, crate::exec_metric_names!("crawl")),
             failure_rate,
-            // The default is the zero profile: event-driven with a
-            // degenerate clock, byte-identical to the blocking path.
+            // The default is the zero profile: a degenerate clock.
             latency: LatencyModel::default(),
             max_inflight: 1024,
             m_failures: obs::counter("crawl.transient_failures"),
@@ -111,26 +112,11 @@ impl CrawlExecutor {
         FR: Fn() -> Resolver<T> + Sync,
         FW: Fn() -> E + Sync,
     {
-        if !self.latency.enabled() {
-            // Legacy blocking path: one task = one blocking crawl. Work is
-            // partitioned into the store's shards — a stable, FQDN-keyed
-            // split, so the same name always lands in the same bucket no
-            // matter how many workers run.
-            return self.exec.map(
-                monitored,
-                store.shard_count(),
-                |fqdn| store.shard_of(fqdn),
-                || (make_resolver(), make_web()),
-                |(resolver, web), _i, fqdn| self.crawl_one(fqdn, resolver, web, store, tree, now),
-            );
-        }
-
-        // Event-driven path: each shard drains its own completion queue,
-        // interleaving up to `max_inflight` crawls. Bucket composition is
-        // the same FQDN-keyed split as the blocking path, every latency
-        // draw is keyed by (fqdn, day, event ordinal), and per-bucket
-        // outcome lists are merged back in canonical input order — so the
-        // result stays byte-identical for any thread count.
+        // Each shard drains its own completion queue, interleaving up to
+        // `max_inflight` crawls. Buckets are an FQDN-keyed split, every
+        // latency draw is keyed by (fqdn, day, event ordinal), and
+        // per-bucket outcome lists are merged back in canonical input order
+        // — so the result stays byte-identical for any thread count.
         let per_bucket = self.exec.fold_buckets(
             monitored,
             store.shard_count(),
@@ -352,42 +338,6 @@ impl CrawlExecutor {
             makespan_ns: q.now().as_nanos(),
         }
     }
-
-    fn crawl_one<T: Transport, E: Endpoint + ?Sized>(
-        &self,
-        fqdn: &Name,
-        resolver: &Resolver<T>,
-        web: &E,
-        store: &SnapshotStore,
-        tree: &RngTree,
-        now: SimTime,
-    ) -> CrawlOutcome {
-        let prev = store.latest(fqdn);
-        let snap = if self.failure_rate > 0.0
-            && tree
-                .rng(&format!("crawl/{fqdn}/{}", now.0))
-                .gen_bool(self.failure_rate)
-        {
-            // Transient fetch failure: DNS still resolves, the HTTP fetch is
-            // dropped. Keyed by (fqdn, day) so the flake pattern is identical
-            // under any partition of the work.
-            self.m_failures.inc();
-            let outcome = resolver.resolve_a(fqdn, now);
-            let cname = outcome.final_cname().cloned();
-            let mut s = Snapshot::unreachable(fqdn.clone(), now, outcome.rcode, cname);
-            s.ip = outcome.addresses.first().copied();
-            s
-        } else {
-            Crawler::sample(fqdn, resolver, web, prev, now)
-        };
-        let change = prev.and_then(|p| diff_record(p, &snap));
-        CrawlOutcome {
-            snap,
-            change,
-            sim_elapsed_ns: 0,
-            dns_elapsed_ns: 0,
-        }
-    }
 }
 
 /// One shard event loop's products: outcomes tagged with input indices plus
@@ -398,33 +348,9 @@ struct BucketCrawl {
     makespan_ns: u64,
 }
 
-/// The weekly-crawl stage: wraps [`CrawlExecutor`] and leaves the round's
-/// outcomes in [`RunState::crawl_batch`] for the diff stage.
-pub struct CrawlStage {
-    exec: CrawlExecutor,
-}
-
-impl CrawlStage {
-    pub fn new(threads: usize, failure_rate: f64) -> Self {
-        CrawlStage {
-            exec: CrawlExecutor::new(threads, failure_rate),
-        }
-    }
-
-    /// Select the latency model (builder-style).
-    pub fn with_latency(mut self, latency: LatencyModel) -> Self {
-        self.exec = self.exec.with_latency(latency);
-        self
-    }
-
-    /// Cap concurrently in-flight crawls per shard event loop.
-    pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
-        self.exec = self.exec.with_max_inflight(max_inflight);
-        self
-    }
-}
-
-impl Stage for CrawlStage {
+/// The weekly-crawl stage: leaves the round's outcomes in
+/// [`RunState::crawl_batch`] for the diff stage.
+impl Stage for CrawlExecutor {
     fn name(&self) -> &'static str {
         "crawl"
     }
@@ -440,7 +366,7 @@ impl Stage for CrawlStage {
             ..
         } = rs;
         let world = &*world;
-        *crawl_batch = self.exec.run(
+        *crawl_batch = self.run(
             monitored,
             store,
             tree,

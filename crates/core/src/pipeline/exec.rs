@@ -3,8 +3,8 @@
 //!
 //! [`ShardedExecutor`] generalizes the work-partitioning machinery the weekly
 //! crawl introduced so every shard-friendly pass — crawling, Algorithm-1
-//! classification, signature matching, benign clustering — runs under one
-//! discipline:
+//! classification, the retro fold's signature matching and validation —
+//! runs under one discipline:
 //!
 //! 1. work is partitioned into buckets by a **fixed, content-keyed hash**
 //!    (never by arrival or iteration order),
@@ -23,7 +23,7 @@
 //! sequential RNG.
 //!
 //! Telemetry is out-of-band and prefix-named per executor (e.g. `crawl.*`,
-//! `retro.match.*`) so per-phase shard/worker imbalance is observable without
+//! `retro.incr.*`) so per-phase shard/worker imbalance is observable without
 //! perturbing results. A panicking worker propagates its panic out of
 //! [`ShardedExecutor::map`] after the scope joins — it never deadlocks the
 //! remaining workers.

@@ -1,30 +1,40 @@
-//! Incremental retrospective pass: the §3.2 signature machinery as a
-//! streaming stage.
+//! The retrospective pass (§3.2) as a fold over the change log.
 //!
-//! [`RetroStage`](super::RetroStage) runs once at the horizon as one
-//! O(all-changes) batch. `IncrementalRetro` consumes the same
-//! [`ChangeRecord`]s as the diff stage emits them each round, so detection
-//! keeps pace with collection — the ROADMAP's prerequisite for a
-//! long-running service mode. Its contract is exact: the final
-//! [`StudyResults`](crate::report::StudyResults) is **byte-identical** to
-//! batch mode for any thread count, fresh or resumed mid-run (the
-//! `incremental_equivalence` differential suite pins all three axes).
+//! `IncrementalRetro` is the pipeline's only retro implementation. It
+//! consumes [`ChangeRecord`]s in round order and keeps every intermediate
+//! (benign clusters, the greedy signature grouping, per-signature verdict
+//! columns) up to date, so it can run two ways:
+//!
+//! - **streamed** (`Scenario::incremental(true)`, `repro --incremental`,
+//!   always in serve mode): [`Stage::weekly`] ingests each round right
+//!   behind the diff stage and refreshes the advisory [`ProvisionalRound`],
+//!   so detection keeps pace with collection;
+//! - **one-shot** (the default): nothing is ingested mid-run and
+//!   [`IncrementalRetro::finalize`] catches up on the whole change log at
+//!   the horizon.
+//!
+//! The final [`StudyResults`](crate::report::StudyResults) is
+//! **byte-identical** between the two for any thread count, fresh or
+//! resumed mid-run (the `incremental_equivalence` differential suite pins
+//! all three axes, and `intern_equivalence` pins the bytes to a committed
+//! golden digest).
 //!
 //! ## Why streaming can be exact
 //!
-//! Each batch computation decomposes differently:
+//! Each step of the pass decomposes differently:
 //!
 //! - **Benign clustering** is a fingerprint → member-set union — commutative
 //!   and idempotent, so folding each round's suspicious records into one
 //!   growing map ([`crate::benign::fold_cluster_map`]) reaches the same map
-//!   contents as the one-shot pass, and the sorted-key emission on top is
-//!   order-blind.
-//! - **Signature derivation** is greedy and order-defined — but the batch
-//!   pass canonicalizes its input to `(day, fqdn)` order, and rounds arrive
-//!   in strictly increasing day order. Feeding each round's suspicious
-//!   records (fqdn-sorted within the round) into a
-//!   [`SignatureFold`] therefore *is* the batch sort, replayed live: the
-//!   fold is prefix-consistent, and no record ever needs re-placing.
+//!   contents as one fold over the whole log, and the sorted-key emission on
+//!   top is order-blind.
+//! - **Signature derivation** is greedy and order-defined — its reference,
+//!   [`crate::signature::derive_signatures`], canonicalizes its input to
+//!   `(day, fqdn)` order, and rounds arrive in strictly increasing day
+//!   order. Feeding each round's suspicious records (fqdn-sorted within the
+//!   round) into a [`SignatureFold`] therefore *is* that sort, replayed
+//!   live: the fold is prefix-consistent, and no record ever needs
+//!   re-placing.
 //! - **Registrar rule-out is not monotone**: a cluster that gains a second
 //!   fqdn becomes rule-out-capable, and one that gains a second registrar
 //!   stops being registrar-driven — membership can both grow and shrink.
@@ -42,11 +52,11 @@
 //!   as fqdns turn suspicious, so a mid-run verdict can be invalidated
 //!   later. Per-round validation feeds the `retro.incr.*` gauges;
 //!   [`IncrementalRetro::finalize`] revalidates against the final corpus
-//!   exactly as the batch pass does. This is the one stage that cannot be
-//!   folded exactly, and the docs say so rather than pretend.
+//!   from scratch. This is the one stage that cannot be folded exactly, and
+//!   the docs say so rather than pretend.
 //!
-//! Everything downstream of the matched set is shared verbatim with batch
-//! mode ([`super::retro::assemble_results`]).
+//! Everything downstream of the matched set lives in
+//! [`super::retro::assemble_results`].
 //!
 //! ## Determinism under parallelism
 //!
@@ -197,14 +207,17 @@ pub struct IncrementalRetro {
     fold: SignatureFold,
     /// Verdict columns per signature content key.
     match_cache: BTreeMap<SigKey, CachedSig>,
-    /// apex → registrar, built from the population on first ingest (same
-    /// first-match semantics as the batch pass's linear scan).
+    /// apex → registrar, built from the population on first ingest (the
+    /// first org listed for an apex wins).
     registrars: Option<HashMap<Name, u16>>,
     min_signature_slds: usize,
     /// Advisory state of the last round, rebuilt by each advisory ingest;
     /// `None` until the first round (and never refreshed by the finalize
     /// catch-up, whose validation is authoritative instead).
     provisional: Option<ProvisionalRound>,
+    /// `retro.incr.rounds`: advisory (per-round) ingests only. The
+    /// finalize catch-up is not a round, so a one-shot pass reads 0.
+    m_rounds: &'static obs::Counter,
 }
 
 impl IncrementalRetro {
@@ -221,6 +234,7 @@ impl IncrementalRetro {
             registrars: None,
             min_signature_slds: 2,
             provisional: None,
+            m_rounds: obs::counter("retro.incr.rounds"),
         }
     }
 
@@ -310,7 +324,9 @@ impl IncrementalRetro {
                 "rounds must arrive in increasing (day, fqdn) order"
             );
         }
-        obs::counter("retro.incr.rounds").add(1);
+        if advisory.is_some() {
+            self.m_rounds.inc();
+        }
         obs::counter("retro.incr.new_suspicious").add(fresh.len() as u64);
         let prev_len = self.suspicious.len();
         for e in &fresh {
@@ -541,12 +557,12 @@ impl IncrementalRetro {
         });
     }
 
-    /// Consume the run state: catch up on any tail, run the *final*
-    /// validation against the final benign corpus (exactly as batch mode
-    /// does — per-round advisory verdicts are deliberately not reused), read
-    /// the matched set out of the verdict cache, and assemble
-    /// [`StudyResults`] through the tail shared with
-    /// [`RetroStage`](super::RetroStage).
+    /// Consume the run state: catch up on every change not yet ingested
+    /// (the whole log for a one-shot pass), run the *final* validation
+    /// against the final benign corpus (per-round advisory verdicts are
+    /// deliberately not reused), read the matched set out of the verdict
+    /// cache, and assemble [`StudyResults`] through
+    /// [`assemble_results`].
     pub fn finalize(mut self, rs: RunState) -> StudyResults {
         let _s = obs::span("retro.incr.finalize", "retro").record_into("retro.incr.finalize_ns");
         self.ingest(&rs, None);
@@ -554,6 +570,9 @@ impl IncrementalRetro {
         let change_clusters =
             crate::benign::clusters_from_map(&self.cluster_map, |sld| self.registrar_of(sld));
         let sigs_all = self.fold.signatures(self.min_signature_slds);
+        // Benign corpus: latest snapshots of monitored FQDNs that never
+        // produced a suspicious change. `store.iter()` is canonical-order, so
+        // the `take` samples the same corpus on every run and thread count.
         let corpus: Vec<&crate::snapshot::Snapshot> = rs
             .store
             .iter()
@@ -600,8 +619,8 @@ impl IncrementalRetro {
         // diff stage emits in monitored order), so re-sort by index.
         matched_idx.sort_unstable_by_key(|(idx, _)| *idx);
 
-        // Content classification of the matched records, shard-parallel as
-        // in batch mode (pure per-record reads).
+        // Content classification of the matched records, shard-parallel
+        // (pure per-record reads).
         let matched_recs: Vec<&ChangeRecord> = matched_idx
             .iter()
             .map(|(idx, _)| &rs.changes[*idx])

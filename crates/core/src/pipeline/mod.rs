@@ -9,31 +9,30 @@
 //!   history, liveness probes,
 //! - [`CollectStage`] — Algorithm-1 collection: grows the monitored set
 //!   from the feed every monitoring round,
-//! - [`CrawlStage`] — the weekly crawl, shard-parallel via
-//!   [`CrawlExecutor`],
+//! - [`CrawlExecutor`] — the weekly crawl: shard-parallel event loops over
+//!   completion queues of in-flight crawls,
 //! - [`DiffStage`] — merges crawl outcomes in canonical FQDN order into the
 //!   change log and the sharded snapshot store,
-//! - [`RetroStage`] — the retrospective §3.2 signature pass that consumes
-//!   the final [`RunState`] and assembles a
-//!   [`crate::report::StudyResults`].
-//!
-//! Opt-in, [`IncrementalRetro`] replaces the one-shot retro pass with a
-//! streaming stage that runs after the diff stage every round and is
-//! finalized at the horizon — same `StudyResults`, byte for byte (see its
-//! module docs for why that equivalence holds).
+//! - [`IncrementalRetro`] — the retrospective §3.2 signature pass as a fold
+//!   over the change log. It either streams every round right behind the
+//!   diff stage or ingests the whole log at the horizon; either way its
+//!   finalize step consumes the final [`RunState`] and assembles a
+//!   [`crate::report::StudyResults`], byte for byte the same (see its
+//!   module docs for why that equivalence holds). [`RetroStage`] is the
+//!   one-shot entry point.
 //!
 //! ## Determinism under parallelism
 //!
-//! The crawl, Algorithm-1 classification, and the retrospective pass
-//! (clustering, signature validation, signature matching) all fan out
-//! through the shared [`ShardedExecutor`]. Three invariants make every
-//! parallel stage's output independent of the thread count: work is
-//! partitioned by the stable [`crate::snapshot::fqdn_shard`] hash (never by
-//! iteration order), results are re-assembled in the input's canonical order
-//! before any downstream stage sees them, and any randomness a task consumes
-//! comes from a [`simcore::RngTree`] stream keyed by the FQDN and day — not
-//! from a shared sequential RNG that thread scheduling could reorder.
-//! `StudyResults` is therefore byte-identical for any `K`, which the
+//! The crawl, Algorithm-1 classification, and the retrospective fold
+//! (signature matching and validation) all fan out through the shared
+//! [`ShardedExecutor`]. Three invariants make every parallel stage's output
+//! independent of the thread count: work is partitioned by the stable
+//! [`crate::snapshot::fqdn_shard`] hash (never by iteration order), results
+//! are re-assembled in the input's canonical order before any downstream
+//! stage sees them, and any randomness a task consumes comes from a
+//! [`simcore::RngTree`] stream keyed by the FQDN and day — not from a shared
+//! sequential RNG that thread scheduling could reorder. `StudyResults` is
+//! therefore byte-identical for any `K`, which the
 //! `retro_parallel_equivalence` suite verifies end to end.
 
 mod collect_stage;
@@ -47,7 +46,7 @@ mod retro;
 mod world_stage;
 
 pub use collect_stage::CollectStage;
-pub use crawl::{CrawlExecutor, CrawlOutcome, CrawlStage};
+pub use crawl::{CrawlExecutor, CrawlOutcome};
 pub use diff_stage::DiffStage;
 pub use exec::{ExecMetricNames, ShardedExecutor};
 pub use incr::{
@@ -116,9 +115,8 @@ pub struct RoundView<'a> {
     pub now: SimTime,
     /// Monitoring rounds completed so far (1-based: 1 after the first).
     pub rounds_done: u64,
-    /// The incremental retro pass's advisory per-round state, when the run
-    /// is streaming (`None` in batch mode, where no mid-run verdicts
-    /// exist).
+    /// The retro fold's advisory per-round state, when the run is
+    /// streaming (`None` otherwise, where no mid-run verdicts exist).
     pub provisional: Option<&'a ProvisionalRound>,
 }
 

@@ -3,19 +3,22 @@
 //! Runs the full world — organizations provisioning and abandoning cloud
 //! resources from 2016, attacker campaigns from 2020, certificate history
 //! from 2017 — and, in the same event loop, the paper's monitoring pipeline
-//! (weekly, per §3). At the horizon it performs the retrospective signature
+//! (weekly, per §3). At the horizon it finalizes the retrospective signature
 //! derivation + validation + matching pass of §3.2 and assembles a
 //! [`StudyResults`].
 //!
 //! [`Scenario::run`] is a thin orchestrator: the actual work lives in the
 //! [`crate::pipeline`] stages — world advancement, Algorithm-1 collection,
-//! the shard-parallel weekly crawl, diff/record, and the retrospective pass.
+//! the shard-parallel weekly crawl, diff/record, and the retrospective fold
+//! ([`IncrementalRetro`]), which either streams every round
+//! ([`Scenario::incremental`]) or ingests the whole change log at the
+//! horizon.
 //! The pipeline-wide determinism contract (byte-identical results for any
 //! `crawl_threads`) is documented in [`crate::pipeline`].
 
 use crate::pipeline::{
-    CollectStage, CrawlStage, DiffStage, Ev, IncrementalRetro, PersistError, PersistOptions,
-    PersistStage, RetroStage, RoundSink, RoundView, RunState, Stage, WorldStage,
+    CollectStage, CrawlExecutor, DiffStage, Ev, IncrementalRetro, PersistError, PersistOptions,
+    PersistStage, RoundSink, RoundView, RunState, Stage, WorldStage,
 };
 use crate::report::StudyResults;
 use cloudsim::PlatformConfig;
@@ -56,10 +59,9 @@ pub struct ScenarioConfig {
     pub crawl_failure_rate: f64,
     /// Network latency profile for the event-driven crawl (one of
     /// [`simcore::LatencyProfile::NAMES`]; empty means the default `zero`
-    /// profile). `off` restores the legacy blocking path; `zero`,
-    /// `datacenter` and `wan` only move virtual time and cannot change
-    /// results; `lossy` injects deterministic, thread-count-invariant query
-    /// drops and is the one profile that does.
+    /// profile). `zero`, `datacenter` and `wan` only move virtual time and
+    /// cannot change results; `lossy` injects deterministic,
+    /// thread-count-invariant query drops and is the one profile that does.
     #[serde(default)]
     pub latency_profile: String,
 }
@@ -142,18 +144,19 @@ impl Scenario {
         self
     }
 
-    /// Run the retrospective pass incrementally: the streaming
-    /// [`IncrementalRetro`] stage consumes each round's changes as the diff
-    /// stage emits them, and the horizon pass shrinks to a finalize step.
+    /// Stream the retrospective fold: [`IncrementalRetro`] consumes each
+    /// round's changes as the diff stage emits them and publishes advisory
+    /// per-round state, and the horizon pass shrinks to a finalize step.
+    /// Off, the fold ingests the whole change log once at the horizon.
     /// `StudyResults` is byte-identical either way (the
     /// `incremental_equivalence` suite pins this).
     ///
     /// A builder flag rather than a [`ScenarioConfig`] field on purpose:
     /// like `crawl_threads`, it cannot affect results, so it must not fork
-    /// the persistence config fingerprint — a run recorded in batch mode can
-    /// be resumed incrementally and vice versa, which is also how storelog
-    /// replay feeds recorded rounds straight into the streaming retro pass
-    /// without re-crawling.
+    /// the persistence config fingerprint — a run recorded one-shot can be
+    /// resumed streaming and vice versa, which is also how storelog replay
+    /// feeds recorded rounds straight into the streaming fold without
+    /// re-crawling.
     pub fn incremental(mut self, on: bool) -> Self {
         self.incremental = on;
         self
@@ -174,8 +177,9 @@ impl Scenario {
     ///
     /// Pure orchestration: builds the [`RunState`], instantiates the stages,
     /// dispatches events in scheduled order (for `MonitorWeek` the monitoring
-    /// stages run in pipeline order: collect → crawl → diff), then hands the
-    /// final state to the retrospective stage.
+    /// stages run in pipeline order: collect → crawl → diff, then the retro
+    /// fold when streaming), then hands the final state to the fold's
+    /// finalize step.
     pub fn run(self) -> StudyResults {
         self.run_inner(None)
             .expect("a run without persistence cannot fail")
@@ -217,13 +221,14 @@ impl Scenario {
 
         let mut world_stage = WorldStage::new(&rs);
         let mut collect = CollectStage::new(&rs, threads);
-        let mut crawl = CrawlStage::new(threads, failure_rate).with_latency(rs.cfg.latency_model());
+        let mut crawl =
+            CrawlExecutor::new(threads, failure_rate).with_latency(rs.cfg.latency_model());
         let mut diff = DiffStage;
         let mut persist = match persist_opts {
             Some(opts) => Some(PersistStage::open(opts, &rs.cfg, rs.store.shard_count())?),
             None => None,
         };
-        let mut incr = incremental.then(|| IncrementalRetro::new(threads));
+        let mut retro = IncrementalRetro::new(threads);
 
         while let Some((now, ev)) = rs.q.pop() {
             if now > rs.horizon {
@@ -279,11 +284,11 @@ impl Scenario {
                     // behind the diff stage. Replayed rounds flow through
                     // here too — resume feeds recorded segments straight
                     // into the retro pass without re-crawling.
-                    if let Some(incr) = incr.as_mut() {
+                    if incremental {
                         let _s = obs::span("incr.weekly", "retro")
                             .arg_i64("day", now.0 as i64)
                             .record_into("pipeline.incr_ns");
-                        incr.weekly(&mut rs, now);
+                        retro.weekly(&mut rs, now);
                     }
                     rounds += 1;
                     m_rounds.inc();
@@ -315,7 +320,7 @@ impl Scenario {
                             rs: &rs,
                             now,
                             rounds_done: rounds,
-                            provisional: incr.as_ref().and_then(|i| i.provisional_round()),
+                            provisional: retro.provisional_round(),
                         });
                         stop = stop || sink.stop_requested();
                     }
@@ -332,10 +337,7 @@ impl Scenario {
         }
 
         let _retro = obs::span("retro.assemble", "retro").record_into("pipeline.retro_ns");
-        Ok(match incr {
-            Some(incr) => incr.finalize(rs),
-            None => RetroStage::new(threads).assemble(rs),
-        })
+        Ok(retro.finalize(rs))
     }
 }
 

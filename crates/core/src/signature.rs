@@ -182,7 +182,7 @@ impl GroupMember {
 /// fingerprint overlaps its own by ≥ 0.5 (overlap coefficient), otherwise it
 /// seeds a new group. Greedy placement is order-defined, which is precisely
 /// why it streams: the pipeline feeds rounds in day order (fqdn-sorted
-/// within a round), reproducing the batch pass's canonical sort, so no
+/// within a round), reproducing [`derive_signatures`]'s canonical sort, so no
 /// record ever has to be re-placed. The incremental retro stage
 /// (`core::pipeline::IncrementalRetro`) leans on two further properties:
 /// the fold is `Clone` (a resume snapshot continues identically) and
@@ -202,7 +202,7 @@ impl SignatureFold {
     /// Fold one suspicious record into the running groups. The caller is
     /// responsible for ordering (`(day, fqdn)` ascending) and for the
     /// [`is_suspicious`] filter; records with an empty fingerprint are
-    /// ignored, exactly as the batch pass skips them.
+    /// ignored, exactly as [`derive_signatures`] skips them.
     pub fn push(&mut self, rec: &ChangeRecord) {
         let fingerprint = member_keywords(rec);
         if fingerprint.is_empty() {
@@ -326,10 +326,10 @@ impl SignatureFold {
 /// Group suspicious changes by *keyword overlap* and derive one signature
 /// per group that spans at least `min_slds` distinct SLDs.
 ///
-/// This is the batch entry point: it canonicalizes the processing order by
-/// sorting suspicious records on the unique `(day, fqdn)` key and folds them
-/// through [`SignatureFold`] — the same fold the incremental retro pass
-/// feeds round by round, which is what makes the two modes provably agree.
+/// This is the one-shot reference the fold is tested against: it
+/// canonicalizes the processing order by sorting suspicious records on the
+/// unique `(day, fqdn)` key and folds them through [`SignatureFold`] — the
+/// same fold the retro pass feeds round by round.
 pub fn derive_signatures(changes: &[ChangeRecord], min_slds: usize) -> Vec<Signature> {
     // Deterministic processing order.
     let mut suspicious: Vec<&ChangeRecord> = changes.iter().filter(|r| is_suspicious(r)).collect();

@@ -1,21 +1,21 @@
-//! Batch-vs-streaming differential harness for the retrospective pass: a
-//! full-horizon scenario run with the incremental retro pass
+//! Streamed-vs-one-shot differential harness for the retro fold: a
+//! full-horizon scenario run that streams the fold round by round
 //! ([`dangling_core`]'s `repro --incremental` path) must serialize
-//! [`dangling_core::StudyResults`] to the *same bytes* as the one-shot batch
-//! pass across
+//! [`dangling_core::StudyResults`] to the *same bytes* as a run whose fold
+//! ingests the whole change log once at the horizon, across
 //!
 //! - thread counts `{1} ∪ INCR_EQ_THREADS` (default `2,4,8`),
 //! - fresh runs and `--resume` replays of a recorded history, and
 //! - tracing off and on (telemetry must stay out-of-band everywhere).
 //!
 //! The replay legs also pin the "segments → retro without re-crawling"
-//! contract: a full-history replay into the incremental pass must drive
+//! contract: a full-history replay into the streamed fold must drive
 //! *zero* crawl rounds (the `pipeline.crawl_ns` histogram — recorded whether
 //! or not tracing is on — must not grow) while still replaying recorded
-//! rounds (`persist.rounds_replayed` must grow). The history is recorded in
-//! *batch* mode and resumed in *incremental* mode on purpose: the retro-pass
-//! mode is a builder flag, not part of the persisted config fingerprint, so
-//! recorded histories are mode-portable.
+//! rounds (`persist.rounds_replayed` must grow). The history is recorded
+//! one-shot and resumed streamed on purpose: the retro-pass mode is a
+//! builder flag, not part of the persisted config fingerprint, so recorded
+//! histories are mode-portable.
 //!
 //! The whole matrix lives in one `#[test]` because the tracing flag is
 //! process-global — concurrent test functions would race on it.
@@ -42,8 +42,8 @@ impl Drop for TempDir {
 }
 
 /// Same full-window config as `retro_parallel_equivalence`: the attacker
-/// campaigns only start in 2020, so a round-bounded run would leave both
-/// retro passes with no abuse to find — and the comparison vacuous.
+/// campaigns only start in 2020, so a round-bounded run would leave the
+/// retro fold with no abuse to find — and the comparison vacuous.
 fn study_cfg(threads: usize) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::at_scale(2000);
     cfg.world.n_fortune1000 = 30;
@@ -101,9 +101,9 @@ fn run_replayed_incremental(dir: &TempDir, threads: usize) -> String {
 fn incremental_retro_is_byte_identical_to_batch() {
     let threads = threads_under_test();
 
-    // Batch serial baseline, tracing off — and a meaningfulness gate: the
-    // streaming pass must have real signatures/clusters/matches to reproduce
-    // or every byte-comparison below is vacuous.
+    // One-shot serial baseline, tracing off — and a meaningfulness gate:
+    // the streamed fold must have real signatures/clusters/matches to
+    // reproduce or every byte-comparison below is vacuous.
     obs::set_tracing(false);
     let baseline_results = Scenario::new(study_cfg(1)).run();
     assert!(
@@ -124,12 +124,12 @@ fn incremental_retro_is_byte_identical_to_batch() {
     );
     let baseline = serde_json::to_string(&baseline_results).expect("results serialize");
 
-    // Fresh incremental runs, tracing off (serial first: streaming vs batch
-    // with no parallelism in the mix isolates the fold itself).
+    // Fresh streamed runs, tracing off (serial first: streamed vs one-shot
+    // with no parallelism in the mix isolates the per-round path itself).
     assert_eq!(
         run_incremental(1),
         baseline,
-        "serial incremental run diverged from batch"
+        "serial streamed run diverged from one-shot"
     );
     for &t in &threads {
         assert_eq!(
@@ -168,8 +168,8 @@ fn incremental_retro_is_byte_identical_to_batch() {
         );
     }
 
-    // Record the full history once in *batch* mode, then replay it into the
-    // incremental pass at every thread count in both tracing modes. The
+    // Record the full history once *one-shot*, then replay it into the
+    // streamed fold at every thread count in both tracing modes. The
     // mode flip is deliberate: it pins that the retro-pass mode stays out of
     // the persisted config fingerprint, and each replay leg asserts the
     // recorded rounds stream into the retro pass without re-crawling.

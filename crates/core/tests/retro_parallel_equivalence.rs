@@ -1,6 +1,6 @@
 //! The retrospective pass's determinism contract, end to end: with every
-//! parallel stage live — the crawl, Algorithm-1 classification, benign
-//! clustering, signature validation and signature matching — a full-horizon
+//! parallel stage live — the crawl, Algorithm-1 classification, and the
+//! retro fold's signature matching and validation — a full-horizon
 //! scenario run must serialize [`dangling_core::StudyResults`] to the *same
 //! bytes* across
 //!
@@ -127,9 +127,9 @@ fn retro_pass_is_byte_identical_across_threads_replay_and_tracing() {
     for name in [
         "collect.weekly",
         "crawl.weekly",
-        "retro.cluster",
-        "retro.validate_signatures",
-        "retro.match_all",
+        "retro.assemble",
+        "retro.incr.round",
+        "retro.incr.finalize",
     ] {
         assert!(
             spans.iter().any(|s| s.name == name),

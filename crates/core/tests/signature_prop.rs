@@ -214,8 +214,8 @@ proptest! {
 
     /// Prefix-consistency: after every round the streaming fold's signatures
     /// equal the batch derivation over the concatenation of all rounds so
-    /// far. This is the exact invariant that makes the incremental retro
-    /// pass's final results byte-identical to the batch pass.
+    /// far. This is the exact invariant that makes the streamed retro
+    /// fold's final results byte-identical to the one-shot fold's.
     #[test]
     fn fold_is_prefix_consistent_at_every_round_boundary(specs in arb_specs()) {
         let changes = build_changes(&specs);

@@ -66,8 +66,9 @@ pub struct ResolutionOutcome {
     pub addresses: Vec<Ipv4Addr>,
     /// Simulated time the resolution consumed, summed over every query of
     /// the chain (retries and timeout budgets included). Zero under the
-    /// legacy blocking path, on cache hits, and under the zero-latency
-    /// profile — timing telemetry, never an input to any result.
+    /// blocking `resolve_a` driver, on cache hits, and under the
+    /// zero-latency profile — timing telemetry, never an input to any
+    /// result.
     pub sim_elapsed_ns: u64,
 }
 
